@@ -26,9 +26,7 @@ from .field import (
     FieldContext,
     PadicScalar,
     PadicVector,
-    PrecisionBudget,
     Prime,
-    sample,
 )
 from .functions import (
     AffinePrecompose,
@@ -46,14 +44,12 @@ from .functions import (
     affine_curve,
     build_gallery,
     compose,
-    evaluate,
     expr_from_json,
     gallery_names,
     polynomial_curve,
 )
 from .engine import (
     CheckReport,
-    DirectionSet,
     PhiPoint,
     UpsilonPoint,
     chain_phi_low,
@@ -92,9 +88,7 @@ from .gallery import (
     build_counterexample,
     curve_flatness_check,
     discontinuity_witness,
-    h_eval,
     patchwork_curve,
-    thm41_eval,
 )
 
 __version__ = "0.1.0"

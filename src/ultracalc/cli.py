@@ -90,37 +90,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-class RunConfig:
-    """Validated run configuration; rejected before any computation."""
-
-    def __init__(self, data: dict):
-        self.data = data
-
-    @classmethod
-    def load(cls, path: str) -> "RunConfig":
-        return cls(load_config(path))
-
-    @property
-    def suite(self):
-        return self.data.get("suite")
-
-    @property
-    def seed(self) -> int:
-        return int(self.data.get("seed", 0))
-
-    @property
-    def prime(self) -> int:
-        return int(self.data.get("prime", 5))
-
-    @property
-    def backend(self) -> str:
-        return self.data.get("backend", "exact")
-
-    @property
-    def precision(self) -> int:
-        return int(self.data.get("precision", 32))
-
-
 def context_from(cfg: dict) -> FieldContext:
     try:
         prime = Prime(int(cfg.get("prime", 5)))
@@ -481,18 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = RunConfig.load(args.config)
-        if rc.suite is not None and rc.suite != args.command:
+        cfg = load_config(args.config)
+        suite = cfg.get("suite")
+        if suite is not None and suite != args.command:
             raise ConfigError(
-                f"config declares suite '{rc.suite}' but the command is "
+                f"config declares suite '{suite}' but the command is "
                 f"'{args.command}'"
             )
-        seed = args.seed if args.seed is not None else rc.seed
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if args.command == "verify":
-            return run_verify(rc.data, args.out, args.format, seed)
+            return run_verify(cfg, args.out, args.format, seed)
         if args.command == "probe":
-            return run_probe(rc.data, args.out, args.format, seed)
-        return run_gallery(rc.data, args.out, args.format, seed)
+            return run_probe(cfg, args.out, args.format, seed)
+        return run_gallery(cfg, args.out, args.format, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

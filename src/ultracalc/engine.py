@@ -22,6 +22,7 @@ valuation-pivoted rank probe for spans over 0/1 directions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +41,6 @@ from .functions import (
     FunctionExpr,
     MultiPolynomial,
     Poly,
-    _binomial,
     compose,
 )
 
@@ -68,9 +68,6 @@ class PhiPoint:
     def m(self) -> int:
         return self.x.dim
 
-    def numeric_evaluable(self) -> bool:
-        return all(not t.is_zero() for t in self.ts)
-
     def drop_last(self) -> "PhiPoint":
         return PhiPoint(self.x, self.vs[:-1], self.ts[:-1])
 
@@ -84,11 +81,6 @@ class PhiPoint:
         vs = tuple(self.vs[i] for i in perm)
         ts = tuple(self.ts[i] for i in perm)
         return PhiPoint(self.x, vs, ts)
-
-    def with_slot(self, i: int, v: PadicVector) -> "PhiPoint":
-        vs = list(self.vs)
-        vs[i] = v
-        return PhiPoint(self.x, tuple(vs), self.ts)
 
     def to_json(self) -> dict:
         return {
@@ -162,11 +154,6 @@ class UpsilonPoint:
     def norm(self) -> Fraction:
         return max(s.norm() for s in self.flatten())
 
-    def numeric_evaluable(self) -> bool:
-        if self.point is not None:
-            return True
-        return (not self.t.is_zero()) and self.base.numeric_evaluable()
-
     def zero_like(self) -> "UpsilonPoint":
         ctx = self.flatten()[0].context()
         if self.point is not None:
@@ -239,13 +226,6 @@ def embed_phi_point(pt: PhiPoint) -> UpsilonPoint:
 # -- closed forms ----------------------------------------------------------------
 
 
-def _scalar_pow(s: PadicScalar, k: int) -> PadicScalar:
-    """s**k with the empty-product convention 0**0 = 1."""
-    if k == 0:
-        return s.context().one()
-    return s**k
-
-
 def phi_poly_closed(u: MultiPolynomial, pt: PhiPoint) -> PadicVector:
     """Exact order-q partial quotient of a univariate polynomial.
 
@@ -276,17 +256,17 @@ def phi_poly_closed(u: MultiPolynomial, pt: PhiPoint) -> PadicVector:
 
 def _phi_monomial(ctx, n, q, x, vs, ts):
     if q == 0:
-        return _scalar_pow(x, n)
+        return x**n
     total = ctx.zero()
     for ks in _exponent_splits(n, q):
         c = 1
         remaining = n
         for k in ks:
-            c *= _binomial(remaining, k)
+            c *= math.comb(remaining, k)
             remaining -= k
-        term = ctx.scalar(c) * _scalar_pow(x, n - sum(ks))
+        term = ctx.scalar(c) * x ** (n - sum(ks))
         for v, t, k in zip(vs, ts, ks):
-            term = term * _scalar_pow(v, k) * _scalar_pow(t, k - 1)
+            term = term * v**k * t ** (k - 1)
         total = total + term
     return total
 
@@ -324,10 +304,10 @@ def upsilon_poly_closed_low(u: MultiPolynomial, pt: UpsilonPoint) -> PadicVector
             inner = ctx.zero()
             for k1 in range(1, n + 1):
                 inner = inner + (
-                    ctx.scalar(_binomial(n, k1))
-                    * _scalar_pow(x, n - k1)
-                    * _scalar_pow(v0, k1)
-                    * _scalar_pow(t1, k1 - 1)
+                    ctx.scalar(math.comb(n, k1))
+                    * x ** (n - k1)
+                    * v0**k1
+                    * t1 ** (k1 - 1)
                 )
             acc = acc + coeff * inner
         return acc
@@ -344,34 +324,34 @@ def upsilon_poly_closed_low(u: MultiPolynomial, pt: UpsilonPoint) -> PadicVector
     for (n,), coeff in u.terms.items():
         inner = ctx.zero()
         for k1 in range(1, n + 1):
-            b1 = ctx.scalar(_binomial(n, k1))
+            b1 = ctx.scalar(math.comb(n, k1))
             part = ctx.zero()
             for k2 in range(1, n - k1 + 1):
                 part = part + (
-                    ctx.scalar(_binomial(n - k1, k2))
-                    * _scalar_pow(x, n - k1 - k2)
-                    * _scalar_pow(v11, k2)
-                    * _scalar_pow(t2, k2 - 1)
-                    * _scalar_pow(moved_v, k1)
-                    * _scalar_pow(moved_t, k1 - 1)
+                    ctx.scalar(math.comb(n - k1, k2))
+                    * x ** (n - k1 - k2)
+                    * v11**k2
+                    * t2 ** (k2 - 1)
+                    * moved_v**k1
+                    * moved_t ** (k1 - 1)
                 )
             for k2 in range(1, k1 + 1):
                 part = part + (
-                    _scalar_pow(x, n - k1)
-                    * ctx.scalar(_binomial(k1, k2))
-                    * _scalar_pow(v0, k1 - k2)
-                    * _scalar_pow(v12, k2)
-                    * _scalar_pow(t2, k2 - 1)
-                    * _scalar_pow(moved_t, k1 - 1)
+                    x ** (n - k1)
+                    * ctx.scalar(math.comb(k1, k2))
+                    * v0 ** (k1 - k2)
+                    * v12**k2
+                    * t2 ** (k2 - 1)
+                    * moved_t ** (k1 - 1)
                 )
             for k2 in range(1, k1):
                 part = part + (
-                    _scalar_pow(x, n - k1)
-                    * _scalar_pow(v0, k1)
-                    * ctx.scalar(_binomial(k1 - 1, k2))
-                    * _scalar_pow(t1, k1 - k2 - 1)
-                    * _scalar_pow(v13, k2)
-                    * _scalar_pow(t2, k2 - 1)
+                    x ** (n - k1)
+                    * v0**k1
+                    * ctx.scalar(math.comb(k1 - 1, k2))
+                    * t1 ** (k1 - k2 - 1)
+                    * v13**k2
+                    * t2 ** (k2 - 1)
                 )
             inner = inner + b1 * part
         acc = acc + coeff * inner
@@ -392,10 +372,7 @@ def differential(u: MultiPolynomial, x: PadicScalar, directions) -> dict:
         tuple(ctx.zero() for _ in range(n)),
     )
     raw = phi_poly_closed(u, pt)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return {"raw": raw, "factorial_scaled": raw * ctx.scalar(fact)}
+    return {"raw": raw, "factorial_scaled": raw * ctx.scalar(math.factorial(n))}
 
 
 # -- operator identities ---------------------------------------------------------
@@ -419,12 +396,8 @@ class CheckReport:
         self.samples += 1
         if lhs == rhs:
             gap = (lhs - rhs).valuation()
-            if gap is not INF and gap != INF:
-                if (
-                    self.min_agreement_valuation is None
-                    or gap < self.min_agreement_valuation
-                ):
-                    self.min_agreement_valuation = gap
+            if gap != INF:
+                self._lower_gap(gap)
             return
         self.failures.append(
             {
@@ -437,6 +410,18 @@ class CheckReport:
     def record_indeterminate(self) -> None:
         self.samples += 1
         self.indeterminate += 1
+
+    def merge(self, other: "CheckReport") -> None:
+        """Add the samples, failures and agreement gap of ``other``."""
+        self.samples += other.samples
+        self.failures.extend(other.failures)
+        self.indeterminate += other.indeterminate
+        if other.min_agreement_valuation is not None:
+            self._lower_gap(other.min_agreement_valuation)
+
+    def _lower_gap(self, gap: int) -> None:
+        if self.min_agreement_valuation is None or gap < self.min_agreement_valuation:
+            self.min_agreement_valuation = gap
 
     def to_json(self) -> dict:
         gap = self.min_agreement_valuation
@@ -717,37 +702,6 @@ def upsilon_sup_bound_check(
 # -- direction span rank ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectionSet:
-    """Directions with an optional pairwise-independence certificate."""
-
-    directions: tuple
-    pairwise_independent: bool = False
-
-    @classmethod
-    def build(cls, directions: Sequence[PadicVector], check: bool = True):
-        directions = tuple(directions)
-        flag = False
-        if check:
-            flag = all(
-                _pair_independent(a, b)
-                for a, b in itertools.combinations(directions, 2)
-            )
-        return cls(directions, flag)
-
-
-def _pair_independent(a: PadicVector, b: PadicVector) -> bool:
-    if a.is_zero() or b.is_zero():
-        return False
-    if a.dim == 1:
-        return False
-    for i, j in itertools.combinations(range(a.dim), 2):
-        minor = a[i] * b[j] - a[j] * b[i]
-        if not minor.is_zero():
-            return True
-    return False
-
-
 def zero_one_directions(ctx, b: int, n: int):
     """All n-tuples of nonzero 0/1 direction vectors in K^b."""
     singles = []
@@ -833,13 +787,6 @@ def directional_span_rank(
 
 def rank_bound(b: int, n: int) -> int:
     return (2**b - 1) ** n
-
-
-def phi_of_product(fs: Sequence[FunctionExpr], pt: PhiPoint) -> PadicVector:
-    """Brute-force partial quotient of a pointwise product."""
-    from .functions import Product
-
-    return phi(Product(*fs), pt)
 
 
 def compose_then_phi(f: FunctionExpr, u: Curve, pt: PhiPoint) -> PadicVector:

@@ -81,39 +81,6 @@ class Prime:
         return f"Prime({self.p})"
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
-    """Absolute-precision bookkeeping for the truncated backend.
-
-    ``loss`` counts digits already spent; an operation that would push
-    the loss to the limit or beyond must fail rather than round.
-    """
-
-    limit: int
-    loss: int = 0
-
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError("precision limit must be >= 1")
-        if self.loss < 0:
-            raise ValueError("loss must be >= 0")
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.loss
-
-    def charge(self, k: int) -> "PrecisionBudget":
-        """Spend ``k`` digits; raises once nothing remains."""
-        if k < 0:
-            raise ValueError("cannot charge a negative amount")
-        new_loss = self.loss + k
-        if new_loss >= self.limit:
-            raise PrecisionExhausted(
-                f"precision budget exhausted: loss {new_loss} of {self.limit}"
-            )
-        return PrecisionBudget(self.limit, new_loss)
-
-
 class PadicScalar:
     """Shared interface of both scalar backends."""
 
@@ -229,13 +196,6 @@ class ExactScalar(PadicScalar):
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def unit_part(self) -> Fraction:
-        """The value with all powers of p removed."""
-        v = self.valuation()
-        if v is INF:
-            raise ValueError("zero has no unit part")
-        return self.value / Fraction(self.prime.p) ** v
 
     def context(self) -> "FieldContext":
         return FieldContext(self.prime, backend="exact")
@@ -415,14 +375,6 @@ class DigitScalar(PadicScalar):
         for d in reversed(self.unit_digits):
             u = u * self.prime.p + d
         return u
-
-    def precision_loss(self, limit: int = DEFAULT_PRECISION) -> int:
-        if self.abs_prec == INF:
-            return 0
-        return max(0, limit - self.abs_prec)
-
-    def budget(self, limit: int = DEFAULT_PRECISION) -> PrecisionBudget:
-        return PrecisionBudget(limit, self.precision_loss(limit))
 
     def context(self) -> "FieldContext":
         return FieldContext(self.prime, backend="digits")
@@ -756,9 +708,6 @@ class FieldContext:
     def unit_ball(self, dim: int) -> Ball:
         return Ball(self.zero_vector(dim), 0)
 
-    def budget(self) -> PrecisionBudget:
-        return PrecisionBudget(self.precision)
-
     # -- sampling ----------------------------------------------------------
     def sample_ball(
         self, ball: Ball, rng: Random, digit_count: int | None = None
@@ -800,7 +749,3 @@ class FieldContext:
         value = Fraction(unit) * Fraction(p) ** int(data["val"])
         return self.scalar(value)
 
-
-def sample(ball: Ball, seed: int, ctx: FieldContext) -> PadicVector:
-    """Deterministic ball sample for a fixed seed."""
-    return ctx.sample_ball(ball, Random(seed))

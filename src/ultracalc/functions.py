@@ -11,21 +11,13 @@ named gallery constructions registered by other modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, DomainError
 from .field import Ball, FieldContext, PadicScalar, PadicVector
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 class MultiPolynomial:
@@ -68,9 +60,6 @@ class MultiPolynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exponents: tuple) -> PadicVector | None:
-        return self.terms.get(tuple(exponents))
-
     def univariate_coeff(self, k: int) -> PadicVector | None:
         if self.m != 1:
             raise DimensionMismatch("not univariate")
@@ -82,20 +71,7 @@ class MultiPolynomial:
         return max(c.norm() for c in self.terms.values())
 
     def evaluate(self, x: PadicVector) -> PadicVector:
-        if x.dim != self.m:
-            raise DimensionMismatch(f"expected dim {self.m}, got {x.dim}")
-        ctx = x.entries[0].context()
-        acc = ctx.zero_vector(self.l)
-        for exponents, coeff in self.terms.items():
-            mon = ctx.one()
-            for xi, e in zip(x.entries, exponents):
-                if e:
-                    mon = mon * xi**e
-            acc = acc + coeff * mon
-        return acc
-
-    def evaluate_horner(self, x: PadicVector) -> PadicVector:
-        """Independent evaluation order, for cross-checking exactness."""
+        """Value at x by Horner's rule, nested one variable at a time."""
         if x.dim != self.m:
             raise DimensionMismatch(f"expected dim {self.m}, got {x.dim}")
         ctx = x.entries[0].context()
@@ -104,11 +80,14 @@ class MultiPolynomial:
     def _horner(self, x, axis, terms, ctx):
         if not terms:
             return ctx.zero_vector(self.l)
-        top = max(e[axis] for e in terms)
+        # Group the terms by their exponent of x[axis], keeping their order.
+        layers = {}
+        for e, c in terms.items():
+            layers.setdefault(e[axis], {})[e] = c
         acc = ctx.zero_vector(self.l)
-        for k in range(top, -1, -1):
+        for k in range(max(layers), -1, -1):
             acc = acc * x[axis]
-            layer = {e: c for e, c in terms.items() if e[axis] == k}
+            layer = layers.get(k)
             if not layer:
                 continue
             if axis == self.m - 1:
@@ -117,13 +96,6 @@ class MultiPolynomial:
             else:
                 acc = acc + self._horner(x, axis + 1, layer, ctx)
         return acc
-
-    def coordinate(self, j: int) -> "MultiPolynomial":
-        """The scalar polynomial giving output coordinate j."""
-        terms = {}
-        for e, c in self.terms.items():
-            terms[e] = PadicVector([c[j]])
-        return MultiPolynomial(self.m, 1, terms)
 
     def first_quotient_coord(
         self, z: PadicVector, j: int, tau: PadicScalar
@@ -146,17 +118,12 @@ class MultiPolynomial:
                     rest = rest * z[i]**e
             inner = ctx.zero()
             for k in range(1, ej + 1):
-                term = ctx.scalar(_binomial(ej, k)) * z[j] ** (ej - k)
+                term = ctx.scalar(math.comb(ej, k)) * z[j] ** (ej - k)
                 if k > 1:
                     term = term * tau ** (k - 1)
                 inner = inner + term
             acc = acc + coeff * (rest * inner)
         return acc
-
-    def scaled(self, factor: PadicScalar) -> "MultiPolynomial":
-        return MultiPolynomial(
-            self.m, self.l, {e: c * factor for e, c in self.terms.items()}
-        )
 
     def perturbed(self, delta: PadicScalar) -> "MultiPolynomial":
         """Copy with one coefficient nudged; used for fault injection."""
@@ -195,9 +162,6 @@ class FunctionExpr:
 
     def evaluate(self, x: PadicVector) -> PadicVector:
         raise NotImplementedError
-
-    def children(self) -> tuple:
-        return ()
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -274,9 +238,6 @@ class Sum(FunctionExpr):
             acc = acc + f.evaluate(x)
         return acc
 
-    def children(self):
-        return self.parts
-
     def to_json(self) -> dict:
         return {"kind": "sum", "parts": [f.to_json() for f in self.parts]}
 
@@ -302,9 +263,6 @@ class Product(FunctionExpr):
             acc = acc * f.evaluate(x).scalar()
         return PadicVector([acc])
 
-    def children(self):
-        return self.parts
-
     def to_json(self) -> dict:
         return {"kind": "product", "parts": [f.to_json() for f in self.parts]}
 
@@ -320,9 +278,6 @@ class Scale(FunctionExpr):
 
     def evaluate(self, x: PadicVector) -> PadicVector:
         return self.inner.evaluate(x) * self.factor
-
-    def children(self):
-        return (self.inner,)
 
     def to_json(self) -> dict:
         return {
@@ -346,9 +301,6 @@ class Shift(FunctionExpr):
     def evaluate(self, x: PadicVector) -> PadicVector:
         self._check_input(x)
         return self.inner.evaluate(x - self.offset)
-
-    def children(self):
-        return (self.inner,)
 
     def to_json(self) -> dict:
         return {
@@ -376,9 +328,6 @@ class AffinePrecompose(FunctionExpr):
         self._check_input(x)
         return self.inner.evaluate((x - self.center) / self.scale)
 
-    def children(self):
-        return (self.inner,)
-
     def to_json(self) -> dict:
         return {
             "kind": "affine_precompose",
@@ -405,9 +354,6 @@ class Compose(FunctionExpr):
     def evaluate(self, x: PadicVector) -> PadicVector:
         self._check_input(x)
         return self.outer.evaluate(self.inner.evaluate(x))
-
-    def children(self):
-        return (self.outer, self.inner)
 
     def to_json(self) -> dict:
         return {
@@ -473,11 +419,6 @@ class Curve:
         return {"tag": self.tag, "expr": self.expr.to_json()}
 
 
-def evaluate(f: FunctionExpr, x: PadicVector) -> PadicVector:
-    """Evaluate an expression tree at a point."""
-    return f.evaluate(x)
-
-
 def compose(f: FunctionExpr, u) -> FunctionExpr:
     """Compose f with a curve or another expression."""
     inner = u.expr if isinstance(u, Curve) else u
@@ -492,19 +433,6 @@ def polynomial_curve(coeffs: Sequence[PadicVector], tag: str = "polynomial") -> 
 def affine_curve(a: PadicVector, b: PadicVector) -> Curve:
     """Curve t -> b + t*a."""
     return polynomial_curve([b, a])
-
-
-def constant(ctx: FieldContext, value: PadicVector, input_dim: int) -> FunctionExpr:
-    poly = MultiPolynomial(input_dim, value.dim, {(0,) * input_dim: value})
-    return Poly(poly)
-
-
-def identity(ctx: FieldContext, dim: int) -> FunctionExpr:
-    terms = {}
-    for j in range(dim):
-        e = tuple(1 if i == j else 0 for i in range(dim))
-        terms[e] = ctx.basis_vector(dim, j)
-    return Poly(MultiPolynomial(dim, dim, terms))
 
 
 # -- gallery registry --------------------------------------------------------

@@ -26,7 +26,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .errors import DomainError, PrecisionExhausted
-from .field import INF, Ball, FieldContext, PadicScalar, PadicVector
+from .field import INF, FieldContext, PadicScalar, PadicVector
 from .functions import (
     BallIndicator,
     Curve,
@@ -36,34 +36,21 @@ from .functions import (
 )
 
 
-def default_exponent(m: int, j: int) -> Callable[[int], int]:
-    """Digit reindexing n -> n**(2*(m-j+1)) + n for the j-th family member.
-
-    The even power 2*(m-j+1) decreases with j, so lower-index members
-    are pushed much deeper: the valuation of h_(j-1) eventually beats
-    any fixed multiple of the valuation of h_j.
-    """
-
-    power = 2 * (m - j + 1)
-
-    def exponent(n: int) -> int:
-        return n**power + n
-
-    return exponent
-
-
 @dataclass(frozen=True)
 class HFamily:
     """Digit-reindexing maps h_0..h_m on K, each vanishing at 0."""
 
     ctx: FieldContext
     m: int
-    exponent: Callable[[int, int], int] | None = None
 
     def exponent_of(self, j: int, n: int) -> int:
-        if self.exponent is not None:
-            return self.exponent(j, n)
-        return default_exponent(self.m, j)(n)
+        """Digit reindexing n -> n**(2*(m-j+1)) + n for the j-th member.
+
+        The even power 2*(m-j+1) decreases with j, so lower-index members
+        are pushed much deeper: the valuation of h_(j-1) eventually beats
+        any fixed multiple of the valuation of h_j.
+        """
+        return n ** (2 * (self.m - j + 1)) + n
 
     def valuation_of(self, j: int, y: PadicScalar):
         """Valuation of h_j(y), read off the leading digit of y.
@@ -178,11 +165,6 @@ class HFamily:
         return {"separation": rows, "vanishing": top}
 
 
-def h_eval(fam: HFamily, j: int, y: PadicScalar) -> PadicScalar:
-    """Public evaluator for one member of the digit-reindexing family."""
-    return fam.eval(j, y)
-
-
 @dataclass(frozen=True)
 class CounterexampleF:
     """The discontinuous function built over an h-family and a bump.
@@ -241,11 +223,6 @@ class CounterexampleF:
                     "cannot resolve the bump gate at working precision"
                 )
         return ctx.one()
-
-
-def thm41_eval(cf: CounterexampleF, x: PadicVector, y: PadicScalar) -> PadicScalar:
-    """Evaluate the headline counterexample at (x, y)."""
-    return cf.evaluate(x, y)
 
 
 def discontinuity_witness(cf: CounterexampleF, k_max: int) -> list[dict]:

@@ -15,7 +15,7 @@ never a regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -201,11 +201,15 @@ def _order_values(ctx, f, x, dirs, offsets, j):
     return phi(f, pt)
 
 
-def _cauchy_verdict(diff_vals: list, delta: int):
+def _cauchy_verdict(
+    diff_vals: list,
+    delta: int,
+    oscillation: str = "oscillation after exact stabilization",
+):
     """Check that difference valuations grow by >= delta per step.
 
     Infinite entries mean exact stabilization; once seen, any return to
-    a finite difference counts as an oscillation failure.  A small
+    a finite difference fails with the ``oscillation`` detail.  A small
     number of sub-threshold steps is tolerated: an isolated digit
     cancellation can stall the exact valuation sequence at a single
     junction without breaking convergence, whereas a genuinely stuck
@@ -222,7 +226,7 @@ def _cauchy_verdict(diff_vals: list, delta: int):
             prev = None
             continue
         if stabilized:
-            return False, idx, "oscillation after exact stabilization"
+            return False, idx, oscillation
         if prev is not None:
             steps += 1
             if v - prev < delta:
@@ -395,17 +399,7 @@ def probe_smoothness(
     """
     orders = []
     for k in range(cfg.order + 1):
-        sub = ProbeConfig(
-            order=k,
-            region=cfg.region,
-            j0=cfg.j0,
-            j1=cfg.j1,
-            samples=cfg.samples,
-            delta=cfg.delta,
-            seed=cfg.seed + k,
-            growth_ceiling=cfg.growth_ceiling,
-            randomize_increments=cfg.randomize_increments,
-        )
+        sub = replace(cfg, order=k, seed=cfg.seed + k)
         orders.append(continuity_probe(f, sub, focus=focus if k == 0 else None))
     fit = None
     try:
@@ -589,10 +583,12 @@ def directional_continuity_probe(
     if focus is not None:
         xs.extend(focus)
     sups = []
+    sup_vals = []
     sup_witness = []
     indeterminate = 0
     for j in range(j0, j1 + 1):
         best = Fraction(0)
+        best_val = INF
         who = None
         for x in xs:
             try:
@@ -605,11 +601,14 @@ def directional_continuity_probe(
             d = Fraction(0) if diff.is_zero() else diff.norm()
             if d > best:
                 best = d
+                best_val = diff.valuation()
                 who = x
         sups.append(best)
+        sup_vals.append(best_val)
         sup_witness.append(who)
-    vals = [INF if s == 0 else -_log_norm(s, ctx.p) for s in sups]
-    ok, idx, why = _cauchy_like(vals, delta)
+    ok, idx, why = _cauchy_verdict(
+        sup_vals, delta, oscillation="sup norms returned after vanishing"
+    )
     verdict = "converges" if ok else "fails"
     if indeterminate and ok and all(s == 0 for s in sups):
         verdict = "indeterminate"
@@ -626,28 +625,6 @@ def directional_continuity_probe(
             "detail": why,
         }
     return out
-
-
-def _log_norm(norm: Fraction, p: int) -> int:
-    # norm is an exact power of p
-    if norm >= 1:
-        k = 0
-        while norm > 1:
-            norm /= p
-            k += 1
-        return k
-    k = 0
-    while norm < 1:
-        norm *= p
-        k -= 1
-    return k
-
-
-def _cauchy_like(vals, delta):
-    ok, idx, why = _cauchy_verdict(vals, delta)
-    if not ok and "oscillation" in why:
-        why = "sup norms returned after vanishing"
-    return ok, idx, why
 
 
 def cn_norm_estimate(f: FunctionExpr, n: int, cfg: ProbeConfig) -> dict:
@@ -739,17 +716,7 @@ def boman_experiment(
     per_curve = []
     for i, u in enumerate(curves):
         comp = compose(f, u)
-        sub = ProbeConfig(
-            order=n,
-            region=param_region,
-            j0=cfg.j0,
-            j1=cfg.j1,
-            samples=cfg.samples,
-            delta=cfg.delta,
-            seed=cfg.seed + 100 + i,
-            growth_ceiling=cfg.growth_ceiling,
-            randomize_increments=cfg.randomize_increments,
-        )
+        sub = replace(cfg, order=n, region=param_region, seed=cfg.seed + 100 + i)
         cf = None
         if curve_focus and i in curve_focus:
             cf = curve_focus[i]
@@ -812,15 +779,13 @@ def scaling_inequality_check(
     evaluate = f.evaluate if isinstance(f, FunctionExpr) else f
     rng = Random(seed)
     a_log = Fraction(radius_exponent)
-    q_log = Fraction(_log_norm(q.norm(), ctx.p))
+    q_log = Fraction(-q.valuation())
     hypothesis_failures = []
     conclusion_failures = []
 
     def log_of(vec) -> Fraction | None:
-        nv = vec.norm()
-        if nv == 0:
-            return None
-        return Fraction(_log_norm(nv, ctx.p))
+        v = vec.valuation()
+        return None if v == INF else Fraction(-v)
 
     points = []
     for _ in range(samples):
@@ -832,7 +797,7 @@ def scaling_inequality_check(
             continue
         points.append(t)
     for t in points:
-        t_log = Fraction(_log_norm(t.norm(), ctx.p))
+        t_log = Fraction(-t.valuation())
         lhs = log_of(evaluate(PadicVector([q * t])) - evaluate(PadicVector([t])) * q)
         bound = max(log_b, log_c1 + r * t_log)
         if lhs is not None and lhs > bound:
@@ -840,7 +805,7 @@ def scaling_inequality_check(
     log_c2 = max(-r * a_log, -q_log - r * q_log + r * a_log + log_c1)
     for t in points:
         big_t = q * t
-        t_log = Fraction(_log_norm(big_t.norm(), ctx.p))
+        t_log = Fraction(-big_t.valuation())
         lhs = log_of(evaluate(PadicVector([big_t])))
         bound = max(log_b, log_c2 + r * t_log)
         if lhs is not None and lhs > bound:

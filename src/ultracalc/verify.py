@@ -187,6 +187,19 @@ def standard_corpus(ctx: FieldContext, rng: Random, b: int, size: int = 6):
 # -- suites ----------------------------------------------------------------------
 
 
+def _attempt(report: CheckReport, compute):
+    """Return ``compute()``, or None once its sample is recorded indeterminate.
+
+    A sample whose computation runs out of precision is neither a pass
+    nor a failure: it counts as sampled and indeterminate.
+    """
+    try:
+        return compute()
+    except (PrecisionExhausted, IndeterminateRank):
+        report.record_indeterminate()
+        return None
+
+
 def leibniz_suite(
     ctx: FieldContext,
     seed: int,
@@ -204,13 +217,9 @@ def leibniz_suite(
             product = Product(f, g)
             if inject_fault and case == 0:
                 product = Product(Poly(f.polynomial.perturbed(ctx.pi())), g)
-            try:
-                lhs = phi(product, pt)
-                rhs = leibniz_phi(f, g, pt)
-            except PrecisionExhausted:
-                report.record_indeterminate()
-                continue
-            report.record(pt.to_json(), lhs, rhs)
+            sides = _attempt(report, lambda: (phi(product, pt), leibniz_phi(f, g, pt)))
+            if sides is not None:
+                report.record(pt.to_json(), *sides)
     return report
 
 
@@ -226,24 +235,18 @@ def closed_form_suite(
         u = random_poly(ctx, rng, degree_max=4, l=rng.choice((1, 2)))
         n = 1 + case % 3
         pt = random_phi_point(ctx, rng, 1, n)
-        try:
-            lhs = phi_poly_closed(u, pt)
-            rhs = phi(Poly(u), pt)
-        except PrecisionExhausted:
-            report.record_indeterminate()
-            continue
-        report.record(pt.to_json(), lhs, rhs)
+        sides = _attempt(report, lambda: (phi_poly_closed(u, pt), phi(Poly(u), pt)))
+        if sides is not None:
+            report.record(pt.to_json(), *sides)
     for case in range(upsilon_cases):
         u = random_poly(ctx, rng, degree_max=4)
         n = 1 + case % 2
         pt = random_upsilon_point(ctx, rng, 1, n)
-        try:
-            lhs = upsilon_poly_closed_low(u, pt)
-            rhs = upsilon(Poly(u), pt)
-        except PrecisionExhausted:
-            report.record_indeterminate()
-            continue
-        report.record(pt.to_json(), lhs, rhs)
+        sides = _attempt(
+            report, lambda: (upsilon_poly_closed_low(u, pt), upsilon(Poly(u), pt))
+        )
+        if sides is not None:
+            report.record(pt.to_json(), *sides)
     return report
 
 
@@ -260,19 +263,9 @@ def symmetry_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckRepor
             f = Poly(random_poly(ctx, rng, degree_max=4))
         n = 2 + case % 2
         pt = random_phi_point(ctx, rng, 1, n)
-        try:
-            sub = transposition_symmetry_check(f, pt)
-        except PrecisionExhausted:
-            report.record_indeterminate()
-            continue
-        report.samples += sub.samples
-        report.failures.extend(sub.failures)
-        if sub.min_agreement_valuation is not None:
-            if (
-                report.min_agreement_valuation is None
-                or sub.min_agreement_valuation < report.min_agreement_valuation
-            ):
-                report.min_agreement_valuation = sub.min_agreement_valuation
+        sub = _attempt(report, lambda: transposition_symmetry_check(f, pt))
+        if sub is not None:
+            report.merge(sub)
     return report
 
 
@@ -287,13 +280,9 @@ def scaling_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckReport
         pt = random_phi_point(ctx, rng, 1, 1)
         a = random_increment(ctx, rng, 0, 2)
         T = random_increment(ctx, rng, 0, 2)
-        try:
-            sub = scaling_identity_check(f, pt, a, T)
-        except PrecisionExhausted:
-            report.record_indeterminate()
-            continue
-        report.samples += sub.samples
-        report.failures.extend(sub.failures)
+        sub = _attempt(report, lambda: scaling_identity_check(f, pt, a, T))
+        if sub is not None:
+            report.merge(sub)
     return report
 
 
@@ -307,13 +296,9 @@ def restriction_suite(
         f = corpus[case % len(corpus)]
         n = 1 + case % max_order
         pt = random_phi_point(ctx, rng, 1, n)
-        try:
-            lhs = upsilon(f, embed_phi_point(pt))
-            rhs = phi(f, pt)
-        except PrecisionExhausted:
-            report.record_indeterminate()
-            continue
-        report.record(pt.to_json(), lhs, rhs)
+        sides = _attempt(report, lambda: (upsilon(f, embed_phi_point(pt)), phi(f, pt)))
+        if sides is not None:
+            report.record(pt.to_json(), *sides)
     return report
 
 
@@ -333,13 +318,9 @@ def sup_bound_suite(
         for i in range(per_poly):
             q = 1 + i % max_order
             points.append(random_upsilon_point(ctx, rng, 1, q))
-        try:
-            outcome = upsilon_sup_bound_check(u, points)
-        except PrecisionExhausted:
-            report.record_indeterminate()
-            continue
-        report.samples += outcome["samples"]
-        if not outcome["passed"]:
+        outcome = _attempt(report, lambda: upsilon_sup_bound_check(u, points))
+        if outcome is not None:
+            report.samples += outcome["samples"]
             report.failures.extend(outcome["failures"])
     return report
 
@@ -358,13 +339,9 @@ def chain_suite(ctx: FieldContext, seed: int, cases: int = 50) -> CheckReport:
         )
         for n in (1, 2):
             pt = random_phi_point(ctx, rng, 1, n)
-            try:
-                lhs = chain_phi_low(f, u, pt)
-                rhs = compose_then_phi(f, u, pt)
-            except PrecisionExhausted:
-                report.record_indeterminate()
-                continue
-            report.record(pt.to_json(), lhs, rhs)
+            sides = _attempt(report, lambda: (chain_phi_low(f, u, pt), compose_then_phi(f, u, pt)))
+            if sides is not None:
+                report.record(pt.to_json(), *sides)
     return report
 
 
@@ -385,10 +362,8 @@ def rank_suite(
                     )
                     for _ in range(rows)
                 ]
-                try:
-                    r = directional_span_rank(f, n, b, grid)
-                except IndeterminateRank:
-                    report.record_indeterminate()
+                r = _attempt(report, lambda: directional_span_rank(f, n, b, grid))
+                if r is None:
                     continue
                 report.samples += 1
                 if r > bound:

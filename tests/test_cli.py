@@ -1,7 +1,10 @@
 """CLI: config validation, exit codes, deterministic reports."""
 
+import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +262,37 @@ def test_load_config_rejects_wrong_schema(tmp_path):
     path = write(tmp_path, "v2.json", {"schema": 2, "suite": "verify"})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+# sha256 of every report file the README example configs write.  Reports
+# are promised byte-identical for a fixed config and seed, so a refactor
+# that moves any of these digests has changed what users get.
+README_GOLDEN = {
+    "verify": {
+        "verify_report.csv": "ccf0fe23de289889edb2ff72f2da2b617062456b5aee8fc6120b86718fc7145b",
+        "verify_report.json": "85e45b37f5893477cbeebd8cb18050fe411eacdf054985085e95356130132737",
+    },
+    "probe": {
+        "probe_report.json": "8b9e6755f0b06291f488c74dbc5f1cdd1d34e70ec508ee0a1438b01cdfb29f81",
+        "probe_samples.csv": "43629beaadbc25b90bc9f53515c002d2723d4b8db752b54fc0b46f3b39af54f3",
+    },
+    "gallery": {
+        "gallery_report.json": "d3069205ed9f05fc5d2dec1f9398fba3265de6dbe08f37c227893628a8284c3e",
+        "witness.csv": "5d93ce994b80509c2d42a68b27a594d6642b71894935a2f308d1c51e9cf6549d",
+    },
+}
+
+
+def test_readme_example_reports_match_golden_digests(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert [cfg["suite"] for cfg in examples] == list(README_GOLDEN)
+    for cfg in examples:
+        suite = cfg["suite"]
+        path = write(tmp_path, f"{suite}.json", cfg)
+        out = tmp_path / suite
+        assert main([suite, "--config", path, "--out", str(out)]) == 0
+        digests = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+        }
+        assert digests == README_GOLDEN[suite], suite

@@ -11,7 +11,6 @@ from random import Random
 import pytest
 
 from ultracalc.engine import (
-    DirectionSet,
     PhiPoint,
     UpsilonPoint,
     chain_phi_low,
@@ -582,11 +581,3 @@ def test_padic_rank_prefers_max_norm_pivots():
     ]
     assert padic_rank(rows2) == 1
 
-
-def test_direction_set_independence_flag():
-    a = CTX.vector([1, 0])
-    b = CTX.vector([0, 1])
-    c = CTX.vector([2, 0])
-    assert DirectionSet.build([a, b]).pairwise_independent
-    assert not DirectionSet.build([a, c]).pairwise_independent
-    assert not DirectionSet.build([a, CTX.zero_vector(2)]).pairwise_independent

@@ -97,18 +97,34 @@ def test_compose_associativity_on_random_points():
         assert left.evaluate(t) == expected
 
 
+def _monomial_sum(poly, x):
+    """Reference value: every term's coefficient times its monomial, summed."""
+    ctx = x.entries[0].context()
+    acc = ctx.zero_vector(poly.l)
+    for exponents, coeff in poly.terms.items():
+        mon = ctx.one()
+        for xi, e in zip(x.entries, exponents):
+            mon = mon * xi**e
+        acc = acc + coeff * mon
+    return acc
+
+
 def test_tree_eval_matches_horner():
     rng = Random(11)
-    for _ in range(25):
-        terms = {}
-        for _ in range(rng.randrange(1, 6)):
-            e = (rng.randrange(0, 4), rng.randrange(0, 4))
-            terms[e] = CTX.vector([Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3)))])
-        poly = MultiPolynomial(2, 1, terms)
-        x = CTX.vector(
-            [Fraction(rng.randrange(-20, 20), rng.choice((1, 3))), rng.randrange(-20, 20)]
-        )
-        assert poly.evaluate(x) == poly.evaluate_horner(x)
+    for ctx in (CTX, FieldContext(Prime(5), backend="digits")):
+        for _ in range(25):
+            m = rng.randrange(1, 4)
+            terms = {}
+            for _ in range(rng.randrange(1, 6)):
+                e = tuple(rng.randrange(0, 4) for _ in range(m))
+                terms[e] = ctx.vector(
+                    [Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3))) for _ in range(2)]
+                )
+            poly = MultiPolynomial(m, 2, terms)
+            x = ctx.vector(
+                [Fraction(rng.randrange(-20, 20), rng.choice((1, 3, 5))) for _ in range(m)]
+            )
+            assert poly.evaluate(x) == _monomial_sum(poly, x)
 
 
 def test_locally_constant_stability_radius():

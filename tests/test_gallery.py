@@ -15,9 +15,7 @@ from ultracalc.gallery import (
     build_counterexample,
     curve_flatness_check,
     discontinuity_witness,
-    h_eval,
     patchwork_curve,
-    thm41_eval,
 )
 from ultracalc.verify import (
     random_increment,
@@ -36,31 +34,31 @@ CF = CounterexampleF(FAM)
 
 def test_h_vanishes_at_zero():
     for j in (0, 1):
-        assert h_eval(FAM, j, CTX.zero()).is_zero()
+        assert FAM.eval(j, CTX.zero()).is_zero()
 
 
 def test_h_single_digit_values():
     # m = 1: reindexing exponents are n**4 + n for member 0, n**2 + n
     # for member 1; at y = pi both give pi**2
     y = CTX.pi()
-    assert h_eval(FAM, 1, y) == CTX.pi_pow(2)
-    assert h_eval(FAM, 0, y) == CTX.pi_pow(2)
+    assert FAM.eval(1, y) == CTX.pi_pow(2)
+    assert FAM.eval(0, y) == CTX.pi_pow(2)
     y2 = CTX.pi_pow(2)
-    assert h_eval(FAM, 1, y2) == CTX.pi_pow(6)
-    assert h_eval(FAM, 0, y2) == CTX.pi_pow(18)
+    assert FAM.eval(1, y2) == CTX.pi_pow(6)
+    assert FAM.eval(0, y2) == CTX.pi_pow(18)
 
 
 def test_h_valuation_separation_near_zero():
     # |h_0| < |h_1| strictly once past the first digit shell
     for k in range(2, 8):
         y = CTX.pi_pow(k)
-        assert h_eval(FAM, 0, y).valuation() > h_eval(FAM, 1, y).valuation()
+        assert FAM.eval(0, y).valuation() > FAM.eval(1, y).valuation()
 
 
 def test_h_multi_digit_sum():
     y = CTX.scalar(5 + 2 * 25)  # digits a_1 = 1, a_2 = 2
     expect = CTX.pi_pow(2) + CTX.scalar(2) * CTX.pi_pow(6)
-    assert h_eval(FAM, 1, y) == expect
+    assert FAM.eval(1, y) == expect
 
 
 def test_h_growth_margins_eventually_increase():
@@ -85,14 +83,14 @@ def test_f_vanishes_on_zero_section():
     rng = Random(1)
     for _ in range(50):
         x = random_integral_vector(CTX, rng, 1)
-        assert thm41_eval(CF, x, CTX.zero()).is_zero()
+        assert CF.evaluate(x, CTX.zero()).is_zero()
 
 
 def test_f_is_one_at_bump_center():
     for k in (1, 2, 3, 5):
         y = CTX.pi_pow(k)
         x = CF.h_vector(y)
-        assert thm41_eval(CF, x, y) == CTX.one()
+        assert CF.evaluate(x, y) == CTX.one()
 
 
 def test_f_total_outside_unit_ball():
@@ -100,19 +98,19 @@ def test_f_total_outside_unit_ball():
     # then computed from the summed series and evaluation stays total
     y = CTX.scalar(Fraction(7, 5))
     x = CTX.vector([3])
-    value = thm41_eval(CF, x, y)
+    value = CF.evaluate(x, y)
     assert value == CTX.zero() or value == CTX.one()
     centered = CF.h_vector(y)
-    assert thm41_eval(CF, centered, y) == CTX.one()
+    assert CF.evaluate(centered, y) == CTX.one()
 
 
 def test_f_vanishes_outside_gate():
     y = CTX.pi_pow(2)
     # x far from h(y) relative to |h_0(y)|
     x = CF.h_vector(y) + CTX.vector([1])
-    assert thm41_eval(CF, x, y).is_zero()
+    assert CF.evaluate(x, y).is_zero()
     shifted = CF.h_vector(y) + CTX.vector([Fraction(5) ** 7])  # gate is 5**-18
-    assert thm41_eval(CF, shifted, y).is_zero()
+    assert CF.evaluate(shifted, y).is_zero()
 
 
 def test_witness_certifies_discontinuity():
@@ -128,7 +126,7 @@ def test_witness_shifted_off_center_vanishes():
     rows = discontinuity_witness(CF, 6)
     for r in rows:
         outside = PadicVector([r["x"][0] + CTX.one()])
-        assert thm41_eval(CF, outside, r["y"]).is_zero()
+        assert CF.evaluate(outside, r["y"]).is_zero()
 
 
 def test_flatness_along_diagonal_curve():

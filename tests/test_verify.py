@@ -3,7 +3,7 @@
 import pytest
 
 from ultracalc.field import FieldContext, Prime
-from ultracalc.verify import ALL_CHECKS, run_checks
+from ultracalc.verify import ALL_CHECKS, run_checks, scaling_suite
 
 EX = FieldContext(Prime(5))
 TD = FieldContext(Prime(5), backend="digits", precision=32)
@@ -56,3 +56,11 @@ def test_reports_serialize_deterministically():
     a = {k: r.to_json() for k, r in run_checks(EX, seed=9, sizes=SMALL).items()}
     b = {k: r.to_json() for k, r in run_checks(EX, seed=9, sizes=SMALL).items()}
     assert a == b
+
+
+def test_scaling_suite_reports_agreement_gap_on_digit_backend():
+    # The scaling suite merges per-sample sub-reports; their agreement
+    # gap must survive the merge like every other check's does.
+    rep = scaling_suite(TD, seed=1, cases=8)
+    assert rep.passed
+    assert rep.to_json()["max_valuation_gap"] != "inf"
