@@ -675,27 +675,40 @@ def upsilon_sup_bound_check(
 
     Every sampled value must have norm at most the largest coefficient
     norm; returns the bound, the maximum attained and any violations.
+    A value that only vanishes to working precision, ``O(p**k)``, is
+    known to have norm at most ``p**-k``.  When that exceeds the bound
+    the sample cannot be decided and counts as indeterminate.
     """
     bound = u.max_coeff_norm()
     max_attained = Fraction(0)
     violations = []
+    undecided = 0
     f = Poly(u)
     for pt in points:
         if pt.norm() > 1:
             raise ValueError("sample leaves the unit polydisk")
         value = upsilon(f, pt)
         nv = value.norm()
+        # An apparent zero has a finite valuation, which is only a lower bound.
+        known = max(
+            (e.norm() for e in value if not e.is_zero() or e.valuation() == INF),
+            default=Fraction(0),
+        )
+        if known > bound:
+            violations.append({"point": pt.to_json(), "norm": str(known)})
+        elif nv > bound:
+            undecided += 1
+            continue
         if nv > max_attained:
             max_attained = nv
-        if nv > bound:
-            violations.append({"point": pt.to_json(), "norm": str(nv)})
     return {
         "identity": "sup-bound",
         "bound": str(bound),
         "max_attained": str(max_attained),
         "samples": len(points),
         "failures": violations,
-        "passed": not violations,
+        "indeterminate": undecided,
+        "passed": not violations and not undecided,
     }
 
 

@@ -5,12 +5,17 @@ Scalars come in two interchangeable backends:
 * ``ExactScalar`` wraps a rational number and computes valuations on
   demand.  Every operation is exact, which makes this the ground-truth
   backend for identity checking: rational data in, rational data out.
-* ``DigitScalar`` stores a truncated digit expansion together with an
-  absolute precision marker and models lossy arithmetic honestly.
-  A value is known modulo ``p**abs_prec``; division by a scalar of
-  valuation ``k`` lowers ``abs_prec`` by ``k``, and once the marker
-  reaches zero the operation raises ``PrecisionExhausted`` instead of
-  rounding silently.
+* ``DigitScalar`` stores a valuation, an integer unit prime to p and
+  an absolute precision marker (the capped-absolute model), and models
+  lossy arithmetic honestly.  A value is known modulo ``p**abs_prec``;
+  division by a scalar of valuation ``k`` lowers ``abs_prec`` by ``k``,
+  and once the marker reaches zero the operation raises
+  ``PrecisionExhausted`` instead of rounding silently.  Base-p digits
+  are derived from the unit only when a report or a caller asks.
+
+Every scalar holds the ``FieldContext`` that made it; arithmetic passes
+that context on to its results, so the configured backend and precision
+travel with the data.
 
 The norm is ``|x| = p**(-v(x))`` with ``|0| = 0``, vectors carry the
 sup-norm, balls are clopen and either disjoint or nested, and sampling
@@ -84,10 +89,7 @@ class Prime:
 class PadicScalar:
     """Shared interface of both scalar backends."""
 
-    __slots__ = ("prime",)
-
-    def __init__(self, prime: Prime):
-        self.prime = prime
+    __slots__ = ("ctx",)
 
     # -- subclass protocol -------------------------------------------------
     def valuation(self):  # int or math.inf
@@ -104,23 +106,28 @@ class PadicScalar:
 
     # -- shared behaviour --------------------------------------------------
     @property
+    def prime(self) -> Prime:
+        return self.ctx.prime
+
+    @property
     def p(self) -> int:
-        return self.prime.p
+        return self.ctx.prime.p
 
     def norm(self) -> Fraction:
         """p-adic absolute value as an exact rational."""
         v = self.valuation()
         if v is INF or v == INF:
             return Fraction(0)
-        p = self.prime.p
+        p = self.ctx.prime.p
         return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
     def context(self) -> "FieldContext":
-        raise NotImplementedError
+        """The context that made this scalar (or its left operand)."""
+        return self.ctx
 
     def _coerce(self, other) -> "PadicScalar":
         if isinstance(other, PadicScalar):
-            if other.prime != self.prime:
+            if other.ctx is not self.ctx and other.ctx.prime != self.ctx.prime:
                 raise PrimeMismatch(f"{self.prime} vs {other.prime}")
             if type(other) is not type(self):
                 raise BackendMismatch(
@@ -128,7 +135,7 @@ class PadicScalar:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return self.context().scalar(other)
+            return self.ctx.scalar(other)
         return NotImplemented
 
     def __sub__(self, other):
@@ -158,7 +165,7 @@ class PadicScalar:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        result = self.context().one()
+        result = self.ctx.one()
         base = self
         while k:
             if k & 1:
@@ -176,29 +183,27 @@ class ExactScalar(PadicScalar):
 
     __slots__ = ("value", "_val")
 
-    def __init__(self, prime: Prime, value: RationalLike):
-        super().__init__(prime)
-        self.value = Fraction(value)
+    def __init__(self, ctx: "FieldContext", value: RationalLike):
+        self.ctx = ctx
+        # Arithmetic on Fractions already yields a reduced Fraction.
+        self.value = value if isinstance(value, Fraction) else Fraction(value)
         self._val = None
 
     # Fraction keeps num/den reduced, so the p-power content of the
     # denominator is exactly the negative part of the valuation.
     def valuation(self):
         if self._val is None:
-            if self.value == 0:
+            if not self.value:
                 self._val = INF
             else:
-                p = self.prime.p
+                p = self.ctx.prime.p
                 vn = int_valuation(self.value.numerator, p)
                 vd = int_valuation(self.value.denominator, p)
                 self._val = vn - vd
         return self._val
 
     def is_zero(self) -> bool:
-        return self.value == 0
-
-    def context(self) -> "FieldContext":
-        return FieldContext(self.prime, backend="exact")
+        return not self.value
 
     def digits(self, upto: int, start: int | None = None) -> list[int]:
         """Canonical residues a_n of the expansion sum(a_n * p**n).
@@ -240,24 +245,24 @@ class ExactScalar(PadicScalar):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.prime, self.value + other.value)
+        return ExactScalar(self.ctx, self.value + other.value)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.prime, self.value * other.value)
+        return ExactScalar(self.ctx, self.value * other.value)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.value == 0:
+        if not other.value:
             raise DivisionByZero("division by zero scalar")
-        return ExactScalar(self.prime, self.value / other.value)
+        return ExactScalar(self.ctx, self.value / other.value)
 
     def __neg__(self):
-        return ExactScalar(self.prime, -self.value)
+        return ExactScalar(self.ctx, -self.value)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -267,7 +272,8 @@ class ExactScalar(PadicScalar):
         return self.prime == other.prime and self.value == other.value
 
     def __hash__(self):
-        return hash((self.prime, self.value))
+        # Equal to an int or Fraction of the same value, so hash alike.
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"Qp({self.value}; p={self.prime.p})"
@@ -276,86 +282,85 @@ class ExactScalar(PadicScalar):
 class DigitScalar(PadicScalar):
     """A p-adic number known modulo ``p**abs_prec``.
 
-    Stored as a valuation plus base-p digits of the unit part; an exact
+    Stored in capped-absolute form as ``p**val * unit``: ``unit`` is a
+    Python int prime to p and below ``p**(abs_prec - val)``.  An exact
     zero carries infinite precision, while a value that merely vanishes
     to working precision keeps a finite marker and reports its
-    valuation as that lower bound.  ``exact_digits`` records that the
-    stored digit string is the complete expansion, in which case the
-    scalar behaves like an exactly known value.
+    valuation as that lower bound; both store ``val = None`` and unit 0.
+    ``exact_digits`` records that the unit is the complete expansion, in
+    which case the scalar behaves like an exactly known value.  The
+    base-p digits (``unit_digits``, ``digits``, ``to_json``) are derived
+    from the unit on request and never stored.
     """
 
-    __slots__ = ("val", "unit_digits", "abs_prec", "exact_digits")
+    __slots__ = ("val", "unit", "abs_prec", "exact_digits")
 
-    def __init__(self, prime: Prime, val, unit_digits: tuple, abs_prec, exact=False):
-        super().__init__(prime)
+    def __init__(
+        self, ctx: "FieldContext", val, unit: int, abs_prec, exact: bool = False
+    ):
+        self.ctx = ctx
         self.val = val
-        self.unit_digits = unit_digits
+        self.unit = unit
         self.abs_prec = abs_prec
         self.exact_digits = exact
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def exact_zero(cls, prime: Prime) -> "DigitScalar":
-        return cls(prime, None, (), INF, exact=True)
+    def exact_zero(cls, ctx: "FieldContext") -> "DigitScalar":
+        return cls(ctx, None, 0, INF, exact=True)
 
     @classmethod
-    def apparent_zero(cls, prime: Prime, abs_prec: int) -> "DigitScalar":
+    def apparent_zero(cls, ctx: "FieldContext", abs_prec: int) -> "DigitScalar":
         if abs_prec <= 0:
             raise PrecisionExhausted("no significant digits remain")
-        return cls(prime, None, (), abs_prec)
+        return cls(ctx, None, 0, abs_prec)
 
     @classmethod
     def make(
-        cls, prime: Prime, val: int, unit: int, abs_prec, exact: bool = False
+        cls, ctx: "FieldContext", val: int, unit: int, abs_prec, exact: bool = False
     ) -> "DigitScalar":
         """Normalize ``p**val * unit`` modulo ``p**abs_prec``.
 
         ``exact`` asserts that p**val * unit is the true value; it is
         cleared automatically whenever the reduction changes the unit.
         """
-        p = prime.p
         if abs_prec <= 0:
             raise PrecisionExhausted("absolute precision marker reached zero")
         room = abs_prec - val
         if room <= 0:
-            return cls.apparent_zero(prime, abs_prec)
-        reduced = unit % (p**room)
+            return cls.apparent_zero(ctx, abs_prec)
+        p = ctx.prime.p
+        reduced = unit % p**room
         if reduced != unit:
             exact = False
-        unit = reduced
-        if unit == 0:
+        if not reduced:
             if exact:
-                return cls.exact_zero(prime)
-            return cls.apparent_zero(prime, abs_prec)
-        shift = int_valuation(unit, p)
-        unit //= p**shift
-        val += shift
-        digits = []
-        u = unit
-        while u:
-            u, r = divmod(u, p)
-            digits.append(r)
-        return cls(prime, val, tuple(digits), abs_prec, exact=exact)
+                return cls.exact_zero(ctx)
+            return cls.apparent_zero(ctx, abs_prec)
+        while not reduced % p:
+            reduced //= p
+            val += 1
+        return cls(ctx, val, reduced, abs_prec, exact)
 
     @classmethod
-    def from_fraction(
-        cls, prime: Prime, value: RationalLike, abs_prec: int = DEFAULT_PRECISION
-    ) -> "DigitScalar":
+    def from_fraction(cls, ctx: "FieldContext", value: RationalLike) -> "DigitScalar":
+        """``value`` modulo ``p**ctx.precision``."""
+        abs_prec = ctx.precision
         value = Fraction(value)
-        p = prime.p
+        p = ctx.prime.p
         if value == 0:
-            return cls.exact_zero(prime)
+            return cls.exact_zero(ctx)
         vn = int_valuation(value.numerator, p)
         vd = int_valuation(value.denominator, p)
         v = vn - vd
         if v >= abs_prec:
-            return cls.apparent_zero(prime, abs_prec)
-        length = abs_prec - v
+            return cls.apparent_zero(ctx, abs_prec)
+        modulus = p ** (abs_prec - v)
         num = value.numerator // p**vn
         den = value.denominator // p**vd
         terminating = value > 0 and den == 1
-        unit = (num * pow(den, -1, p**length)) % (p**length)
-        return cls.make(prime, v, unit, abs_prec, exact=terminating)
+        unit = (num * pow(den, -1, modulus)) % modulus
+        return cls.make(ctx, v, unit, abs_prec, exact=terminating)
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -371,13 +376,18 @@ class DigitScalar(PadicScalar):
         return self.val
 
     def unit_int(self) -> int:
-        u = 0
-        for d in reversed(self.unit_digits):
-            u = u * self.prime.p + d
-        return u
+        return self.unit
 
-    def context(self) -> "FieldContext":
-        return FieldContext(self.prime, backend="digits")
+    @property
+    def unit_digits(self) -> tuple:
+        """Base-p digits of the unit, least significant first."""
+        p = self.ctx.prime.p
+        u = self.unit
+        out = []
+        while u:
+            u, r = divmod(u, p)
+            out.append(r)
+        return tuple(out)
 
     def digits(self, upto: int, start: int | None = None) -> list[int]:
         if self.abs_prec != INF and upto > self.abs_prec:
@@ -395,17 +405,19 @@ class DigitScalar(PadicScalar):
             return []
         if self.val < start:
             raise ValueError("expansion has nonzero digits below start")
-        out = []
-        for n in range(start, upto):
-            i = n - self.val
-            out.append(self.unit_digits[i] if 0 <= i < len(self.unit_digits) else 0)
+        p = self.ctx.prime.p
+        out = [0] * (min(self.val, upto) - start)
+        u = self.unit
+        for _ in range(upto - self.val):
+            u, r = divmod(u, p)
+            out.append(r)
         return out
 
     def to_json(self) -> dict:
         val = "inf" if self.val is None and self.abs_prec == INF else (
             self.abs_prec if self.val is None else self.val
         )
-        return {"p": self.prime.p, "val": val, "digits": list(self.unit_digits)}
+        return {"p": self.ctx.prime.p, "val": val, "digits": list(self.unit_digits)}
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -417,47 +429,45 @@ class DigitScalar(PadicScalar):
         if other.is_exact_zero():
             return self
         prec = min(self.abs_prec, other.abs_prec)
-        if self.is_zero() and other.is_zero():
-            return DigitScalar.apparent_zero(self.prime, prec)
+        ctx = self.ctx
+        if self.val is None:
+            if other.val is None:
+                return DigitScalar.apparent_zero(ctx, prec)
+            return DigitScalar.make(ctx, other.val, other.unit, prec)
+        if other.val is None:
+            return DigitScalar.make(ctx, self.val, self.unit, prec)
         exact = self.exact_digits and other.exact_digits
-        if self.is_zero():
-            return DigitScalar.make(other.prime, other.val, other.unit_int(), prec)
-        if other.is_zero():
-            return DigitScalar.make(self.prime, self.val, self.unit_int(), prec)
-        p = self.prime.p
+        p = ctx.prime.p
         v0 = min(self.val, other.val)
-        total = self.unit_int() * p ** (self.val - v0) + other.unit_int() * p ** (
-            other.val - v0
-        )
-        return DigitScalar.make(self.prime, v0, total, prec, exact=exact)
+        total = self.unit * p ** (self.val - v0) + other.unit * p ** (other.val - v0)
+        return DigitScalar.make(ctx, v0, total, prec, exact=exact)
 
     def __neg__(self):
-        if self.is_zero():
+        if self.val is None:
             return self
         # A terminating expansion negates to a non-terminating one, so
-        # exactness never survives negation; the reduction clears it.
-        room = self.abs_prec - self.val
-        unit = (-self.unit_int()) % self.prime.p**room
-        return DigitScalar.make(self.prime, self.val, unit, self.abs_prec)
+        # exactness never survives negation.  The negated unit is still
+        # prime to p and reduced, so it needs no normalization.
+        modulus = self.ctx.prime.p ** (self.abs_prec - self.val)
+        return DigitScalar(self.ctx, self.val, -self.unit % modulus, self.abs_prec)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_exact_zero() or other.is_exact_zero():
-            return DigitScalar.exact_zero(self.prime)
+            return DigitScalar.exact_zero(self.ctx)
         va = self.valuation()
         vb = other.valuation()
         prec = min(va + other.abs_prec, vb + self.abs_prec)
-        if self.is_zero() or other.is_zero():
-            return DigitScalar.apparent_zero(self.prime, prec)
-        exact = self.exact_digits and other.exact_digits
+        if self.val is None or other.val is None:
+            return DigitScalar.apparent_zero(self.ctx, prec)
         return DigitScalar.make(
-            self.prime,
-            self.val + other.val,
-            self.unit_int() * other.unit_int(),
+            self.ctx,
+            va + vb,
+            self.unit * other.unit,
             prec,
-            exact=exact,
+            exact=self.exact_digits and other.exact_digits,
         )
 
     def __truediv__(self, other):
@@ -474,7 +484,7 @@ class DigitScalar(PadicScalar):
             return NotImplemented
         if other.is_exact_zero():
             raise DivisionByZero("division by zero scalar")
-        if other.is_zero():
+        if other.val is None:
             raise PrecisionExhausted(
                 "divisor is indistinguishable from zero at working precision"
             )
@@ -489,21 +499,17 @@ class DigitScalar(PadicScalar):
             raise PrecisionExhausted(
                 f"division by valuation-{k} scalar left no absolute precision"
             )
-        if self.is_zero():
-            return DigitScalar.apparent_zero(self.prime, prec)
+        if self.val is None:
+            return DigitScalar.apparent_zero(self.ctx, prec)
         v = self.val - k
-        length = prec - v
-        p = self.prime.p
-        inv = pow(other.unit_int() % (p**length), -1, p**length)
-        unit = (self.unit_int() * inv) % (p**length)
-        exact = (
-            self.exact_digits and other.exact_digits and other.unit_int() == 1
-        )
-        return DigitScalar.make(self.prime, v, unit, prec, exact=exact)
+        modulus = self.ctx.prime.p ** (prec - v)
+        unit = self.unit * pow(other.unit, -1, modulus) % modulus
+        exact = self.exact_digits and other.exact_digits and other.unit == 1
+        return DigitScalar.make(self.ctx, v, unit, prec, exact=exact)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.context().scalar(other)
+            other = self.ctx.scalar(other)
         if not isinstance(other, DigitScalar):
             return NotImplemented
         if self.prime != other.prime:
@@ -518,13 +524,15 @@ class DigitScalar(PadicScalar):
         raise TypeError("DigitScalar compares modulo precision; not hashable")
 
     def __repr__(self) -> str:
+        p = self.ctx.prime.p
         if self.is_exact_zero():
-            return f"Zp(0; p={self.prime.p})"
+            return f"Zp(0; p={p})"
         if self.is_zero():
-            return f"Zp(O(p^{self.abs_prec}); p={self.prime.p})"
-        ds = "".join(str(d) for d in self.unit_digits[:8])
-        tail = "..." if len(self.unit_digits) > 8 else ""
-        return f"Zp(p^{self.val}*[{ds}{tail}]; p={self.prime.p}, O(p^{self.abs_prec}))"
+            return f"Zp(O(p^{self.abs_prec}); p={p})"
+        digits = self.unit_digits
+        ds = "".join(str(d) for d in digits[:8])
+        tail = "..." if len(digits) > 8 else ""
+        return f"Zp(p^{self.val}*[{ds}{tail}]; p={p}, O(p^{self.abs_prec}))"
 
 
 class PadicVector:
@@ -653,7 +661,11 @@ class Ball:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Construction hub fixing the prime, the backend and the precision."""
+    """Construction hub fixing the prime, the backend and the precision.
+
+    Every scalar it makes keeps a reference to it, and arithmetic hands
+    that reference on, so ``x.context() is ctx`` for all of them.
+    """
 
     prime: Prime
     backend: str = "exact"
@@ -671,13 +683,13 @@ class FieldContext:
 
     def scalar(self, value: RationalLike) -> PadicScalar:
         if self.backend == "exact":
-            return ExactScalar(self.prime, value)
-        return DigitScalar.from_fraction(self.prime, value, self.precision)
+            return ExactScalar(self, value)
+        return DigitScalar.from_fraction(self, value)
 
     def zero(self) -> PadicScalar:
         if self.backend == "exact":
-            return ExactScalar(self.prime, 0)
-        return DigitScalar.exact_zero(self.prime)
+            return ExactScalar(self, 0)
+        return DigitScalar.exact_zero(self)
 
     def one(self) -> PadicScalar:
         return self.scalar(1)

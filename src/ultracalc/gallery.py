@@ -128,16 +128,16 @@ class HFamily:
     def _last_digit_index(y: PadicScalar) -> int:
         from .field import ExactScalar
 
+        p = y.prime.p
         if isinstance(y, ExactScalar):
-            p = y.prime.p
-            v = y.valuation()
-            unit = int(y.value / Fraction(p) ** v)
-            n = v
-            while unit >= p:
-                unit //= p
-                n += 1
-            return n
-        return y.val + len(y.unit_digits) - 1
+            n = y.valuation()
+            unit = int(y.value / Fraction(p) ** n)
+        else:
+            n, unit = y.val, y.unit_int()
+        while unit >= p:
+            unit //= p
+            n += 1
+        return n
 
     def growth_table(self, n_max: int, k_max: int) -> dict:
         """Valuation margins of the separation conditions on y = pi**k.

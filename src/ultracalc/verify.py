@@ -321,6 +321,7 @@ def sup_bound_suite(
         outcome = _attempt(report, lambda: upsilon_sup_bound_check(u, points))
         if outcome is not None:
             report.samples += outcome["samples"]
+            report.indeterminate += outcome["indeterminate"]
             report.failures.extend(outcome["failures"])
     return report
 

@@ -301,6 +301,33 @@ def test_sup_bound_scaled_polynomial_tightens():
     assert Fraction(out["bound"]) == Fraction(1, 5)
 
 
+def test_sup_bound_separates_violations_from_apparent_zeros(monkeypatch):
+    import ultracalc.engine as engine
+    from ultracalc.field import DigitScalar
+
+    td = FieldContext(Prime(5), backend="digits", precision=32)
+    u = MultiPolynomial.univariate([td.vector([0]), td.vector([25])])  # bound 1/25
+    pts = [random_upsilon_point(td, Random(15), 1, 1)]
+
+    def check_with(value):
+        monkeypatch.setattr(engine, "upsilon", lambda f, pt: value)
+        return upsilon_sup_bound_check(u, pts)
+
+    # Known digits of norm 1/5 above the bound: a real violation.
+    out = check_with(td.vector([5]))
+    assert [v["norm"] for v in out["failures"]] == ["1/5"]
+    assert out["indeterminate"] == 0 and not out["passed"]
+
+    # O(p^1) only has norm <= 1/5: the bound neither holds nor fails.
+    out = check_with(PadicVector([DigitScalar.apparent_zero(td, 1)]))
+    assert out["failures"] == [] and out["indeterminate"] == 1
+    assert not out["passed"]
+
+    # O(p^2) has norm <= 1/25 and passes.
+    out = check_with(PadicVector([DigitScalar.apparent_zero(td, 2)]))
+    assert out["passed"] and out["indeterminate"] == 0
+
+
 def test_sup_bound_rejects_points_outside_polydisk():
     u = poly1(0, 1)
     big = UpsilonPoint.node(

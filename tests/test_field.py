@@ -13,7 +13,7 @@ from ultracalc.errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from ultracalc.field import Ball, FieldContext, Prime
+from ultracalc.field import Ball, DigitScalar, ExactScalar, FieldContext, Prime
 
 P5 = Prime(5)
 P3 = Prime(3)
@@ -253,3 +253,112 @@ def test_scalar_json_round_trip():
         s = ctx.scalar(Fraction(-9, 7))
         back = ctx.scalar_from_json(s.to_json())
         assert back == s
+
+
+@pytest.mark.parametrize("backend", ["exact", "digits"])
+def test_scalars_keep_the_context_that_made_them(backend):
+    ctx = FieldContext(P5, backend=backend, precision=8)
+    x = ctx.scalar(3)
+    made = [x, ctx.zero(), ctx.one(), ctx.pi_pow(2), ctx.vector([2])[0]]
+    derived = [x * x, x + x, x - 1, 1 - x, -x, x / ctx.scalar(2), 2 / x, x**3, x + ctx.zero()]
+    for y in made + derived:
+        assert y.context() is ctx
+    assert (x * x).context().precision == 8
+    if backend == "digits":
+        assert x.abs_prec == 8 and (x * 7).abs_prec == 8
+
+
+def test_exact_scalar_hash_matches_equality():
+    for value in (3, Fraction(-7, 15)):
+        x = ExactScalar(EX5, value)
+        assert x == value
+        assert hash(x) == hash(value)
+        assert value in {x} and x in {value}
+
+
+def _reference_state(value: Fraction, prec: int):
+    """(val, unit digits, abs_prec) of ``value`` by the digit-list split.
+
+    The digit backend once stored exactly this tuple; the stored int unit
+    must reproduce it.
+    """
+    p = 5
+    if value == 0:
+        return None, (), math.inf
+    num, den = value.numerator, value.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    if v >= prec:
+        return None, (), prec
+    modulus = p ** (prec - v)
+    unit = num * pow(den, -1, modulus) % modulus
+    digits = []
+    while unit:
+        unit, r = divmod(unit, p)
+        digits.append(r)
+    while digits and digits[0] == 0:
+        digits.pop(0)
+        v += 1
+    return v, tuple(digits), prec
+
+
+def _reference_digits(state, upto, start):
+    val, digits, _ = state
+    if val is None:
+        return [0] * max(0, upto - (0 if start is None else start))
+    start = min(0, val) if start is None else start
+    return [
+        digits[n - val] if 0 <= n - val < len(digits) else 0 for n in range(start, upto)
+    ]
+
+
+def _reference_json(state):
+    val, digits, prec = state
+    shown = ("inf" if prec == math.inf else prec) if val is None else val
+    return {"p": 5, "val": shown, "digits": list(digits)}
+
+
+def _reference_repr(state):
+    val, digits, prec = state
+    if val is None:
+        return "Zp(0; p=5)" if prec == math.inf else f"Zp(O(p^{prec}); p=5)"
+    ds = "".join(str(d) for d in digits[:8]) + ("..." if len(digits) > 8 else "")
+    return f"Zp(p^{val}*[{ds}]; p=5, O(p^{prec}))"
+
+
+wide_rationals = st.fractions(
+    min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=5**6 * 7
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rationals, wide_rationals, st.integers(1, 40))
+def test_int_unit_reproduces_the_digit_list(a, b, prec):
+    ctx = FieldContext(P5, backend="digits", precision=prec)
+    x, y = ctx.scalar(a), ctx.scalar(b)
+    # Sums and products are known modulo their abs_prec, so their digits
+    # are those of the exact result at that precision.
+    cases = [(x, a), (x + y, a + b)]
+    try:
+        cases.append((x * y, a * b))
+    except PrecisionExhausted:
+        pass  # a negative valuation used up the precision of the product
+    for s, exact in cases:
+        if exact == 0 or s.is_exact_zero():
+            continue
+        state = _reference_state(exact, s.abs_prec)
+        assert (s.val, s.unit_digits, s.abs_prec) == state
+        assert s.to_json() == _reference_json(state)
+        assert repr(s) == _reference_repr(state)
+        low = min(0, s.valuation())
+        for start in (None, low, low - 2):
+            for upto in range(low - 1, s.abs_prec + 1):
+                assert s.digits(upto, start) == _reference_digits(state, upto, start)
+    zero = ctx.zero()
+    assert zero.to_json() == _reference_json((None, (), math.inf))
+    assert repr(zero) == _reference_repr((None, (), math.inf))

@@ -112,6 +112,20 @@ def test_digit_backend_probe_grants_extension_to_polynomials():
         ), [o.verdict for o in rep.orders]
 
 
+def test_probe_samples_at_the_configured_precision():
+    td = FieldContext(Prime(5), backend="digits", precision=8)
+    seen = set()
+
+    class Recording(Poly):
+        def evaluate(self, x):
+            seen.update(e.abs_prec for e in x)
+            return super().evaluate(x)
+
+    f = Recording(MultiPolynomial.univariate([td.vector([c]) for c in (1, 2, 3)]))
+    probe_smoothness(f, ProbeConfig(order=1, region=td.unit_ball(1), samples=3, seed=5))
+    assert seen == {8}
+
+
 def test_probe_reports_are_deterministic():
     f = poly1(2, 3, 1)
     cfg = ProbeConfig(order=2, region=UNIT1, samples=4, seed=11)
