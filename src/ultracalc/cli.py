@@ -16,13 +16,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from random import Random
 
 from . import __version__
 from .errors import ConfigError, UltracalcError
 from .field import Ball, FieldContext, PadicVector, Prime
-from .functions import build_gallery, expr_from_json, gallery_names, polynomial_curve
+from .functions import build_gallery, expr_from_json, polynomial_curve
 from .gallery import (
     build_counterexample,
     curve_flatness_check,
@@ -45,17 +46,15 @@ _TOP_KEYS = {
     "function",
 }
 _VERIFY_KEYS = {"checks", "cases", "inject_fault"}
-_PROBE_KEYS = {
-    "order",
-    "center",
-    "radius_exponent",
-    "j0",
-    "j1",
-    "samples",
-    "delta",
-    "growth_ceiling",
-    "randomize_increments",
+# The probe section spells the region as a center and a radius exponent
+# and takes its seed from the run; every other ProbeConfig field is a
+# key of the same name, type and default.
+_PROBE_DEFAULTS = {
+    knob.name: knob.default
+    for knob in fields(ProbeConfig)
+    if knob.name not in ("region", "seed")
 }
+_PROBE_KEYS = set(_PROBE_DEFAULTS) | {"center", "radius_exponent"}
 _GALLERY_KEYS = {"name", "k_max", "m", "flatness_curves", "depth", "target_dim"}
 
 
@@ -207,10 +206,30 @@ def _resolve_function(cfg: dict, ctx: FieldContext):
         if extra:
             raise ConfigError(f"unknown keys in function: {sorted(extra)}")
         name = spec["gallery"]
-        if name not in gallery_names():
-            raise ConfigError(f"unknown gallery item: {name}")
-        return build_gallery(name, ctx, **spec.get("params", {})), name
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("function.params must be an object")
+        return build_gallery(name, ctx, **params), name
     return expr_from_json(ctx, spec), spec.get("kind", "expr")
+
+
+def _probe_config(section: dict, ctx: FieldContext, dim: int, seed: int) -> ProbeConfig:
+    """The section's ProbeConfig; every key has the type of its default."""
+    for key, default in {**_PROBE_DEFAULTS, "radius_exponent": 0}.items():
+        if key in section and type(section[key]) is not type(default):
+            want = type(default).__name__
+            raise ConfigError(f"probe.{key} must be {want}, got {section[key]!r}")
+    center = section.get("center", [0] * dim)
+    if not isinstance(center, list) or len(center) != dim:
+        raise ConfigError(f"probe.center must be a list of {dim} numbers")
+    knobs = {key: section[key] for key in _PROBE_DEFAULTS if key in section}
+    try:
+        region = Ball(
+            ctx.vector([Fraction(c) for c in center]), section.get("radius_exponent", 0)
+        )
+        return ProbeConfig(region=region, seed=seed, **knobs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"probe: {exc}") from exc
 
 
 def run_probe(cfg: dict, out_dir: str, fmt: str, seed: int) -> int:
@@ -219,35 +238,13 @@ def run_probe(cfg: dict, out_dir: str, fmt: str, seed: int) -> int:
     if section is None:
         raise ConfigError("probe runs need a 'probe' section")
     f, name = _resolve_function(cfg, ctx)
-    center = section.get("center", [0] * f.input_dim)
-    if len(center) != f.input_dim:
-        raise ConfigError(
-            f"probe center has dim {len(center)}, function takes {f.input_dim}"
-        )
-    region = Ball(
-        ctx.vector([Fraction(c) for c in center]),
-        int(section.get("radius_exponent", 0)),
-    )
-    pc = ProbeConfig(
-        order=int(section.get("order", 1)),
-        region=region,
-        j0=int(section.get("j0", 1)),
-        j1=int(section.get("j1", 8)),
-        samples=int(section.get("samples", 6)),
-        delta=int(section.get("delta", 1)),
-        seed=seed,
-        growth_ceiling=int(section.get("growth_ceiling", 6)),
-        randomize_increments=bool(section.get("randomize_increments", True)),
-    )
+    pc = _probe_config(section, ctx, f.input_dim, seed)
     focus = None
     if name == "thm41":
-        m = f.params.get("m", 1)
-        cf = build_counterexample(ctx, m)
-        stages = pc.j1 - pc.j0 + 1
-        witness = discontinuity_witness(cf, stages)
-        focus = [
-            PadicVector(list(w["x"].entries) + [w["y"]]) for w in witness
-        ]
+        # The witness points (h(pi**k), pi**k); the probe evaluates them.
+        cf = build_counterexample(ctx, f.params["m"])
+        ys = [ctx.pi_pow(k) for k in range(1, pc.j1 - pc.j0 + 2)]
+        focus = [PadicVector([*cf.h_vector(y).entries, y]) for y in ys]
     report = probe_smoothness(f, pc, focus=focus)
     payload = _base_payload(cfg)
     payload["suite"] = "probe"

@@ -407,9 +407,9 @@ class CheckReport:
             }
         )
 
-    def record_indeterminate(self) -> None:
-        self.samples += 1
-        self.indeterminate += 1
+    def record_indeterminate(self, count: int = 1) -> None:
+        self.samples += count
+        self.indeterminate += count
 
     def merge(self, other: "CheckReport") -> None:
         """Add the samples, failures and agreement gap of ``other``."""

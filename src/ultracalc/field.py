@@ -709,11 +709,6 @@ class FieldContext:
     def zero_vector(self, dim: int) -> PadicVector:
         return PadicVector([self.zero() for _ in range(dim)])
 
-    def basis_vector(self, dim: int, j: int) -> PadicVector:
-        return PadicVector(
-            [self.one() if i == j else self.zero() for i in range(dim)]
-        )
-
     def ball(self, center: Sequence, radius_exponent: int) -> Ball:
         return Ball(self.vector(center), radius_exponent)
 

@@ -11,6 +11,7 @@ named gallery constructions registered by other modules.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -448,10 +449,20 @@ def gallery_names() -> list[str]:
     return sorted(_GALLERY)
 
 
-def build_gallery(name: str, ctx: FieldContext, **params) -> FunctionExpr:
+def build_gallery(name: str, ctx: FieldContext, /, **params) -> FunctionExpr:
+    """Build a gallery item; its parameters must match the builder's defaults."""
     if name not in _GALLERY:
         raise DomainError(f"unknown gallery item: {name}")
-    return _GALLERY[name](ctx, **params)
+    builder = _GALLERY[name]
+    _, *knobs = inspect.signature(builder).parameters.values()
+    defaults = {knob.name: knob.default for knob in knobs}
+    for key, value in params.items():
+        if key not in defaults:
+            raise DomainError(f"gallery item {name} takes no parameter {key!r}")
+        want = type(defaults[key])
+        if defaults[key] is not inspect.Parameter.empty and type(value) is not want:
+            raise DomainError(f"gallery item {name}: {key} must be {want.__name__}")
+    return builder(ctx, **params)
 
 
 # -- JSON expression grammar --------------------------------------------------

@@ -15,7 +15,7 @@ never a regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -34,9 +34,9 @@ class Verdict(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProbeConfig:
-    """Shared knobs of the sampling probes.
+    """Shared knobs of the sampling probes, and their only defaults.
 
     The increment grid is geometric: stages j0 <= j <= j1 use t = pi**j
     (plus, optionally, one randomized-offset pass per sample).  The
@@ -44,7 +44,7 @@ class ProbeConfig:
     successive differences per stage.
     """
 
-    order: int
+    order: int = 1
     region: Ball
     j0: int = 1
     j1: int = 8
@@ -75,14 +75,7 @@ class Witness:
     detail: str
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "sample": self.sample,
-            "stage": self.stage,
-            "kind": self.kind,
-            "point": self.point,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,11 +119,10 @@ class LipschitzFit:
         return float(p) ** float(c)
 
     def to_json(self, p: int) -> dict:
-        value = self.constant_value(p)
         return {
             "r": str(self.exponent),
             "log_p_C": str(self.log_constant),
-            "C": str(value),
+            "C": str(self.constant_value(p)),
             "degenerate": self.degenerate,
             "samples": self.samples,
         }
@@ -146,9 +138,6 @@ class SmoothnessReport:
     norm_estimate: Fraction | None = None
     config: dict | None = None
 
-    def verdict(self, order: int) -> Verdict:
-        return self.orders[order].verdict
-
     @property
     def witnesses(self):
         return [w for o in self.orders for w in o.witnesses]
@@ -163,10 +152,7 @@ class SmoothnessReport:
         }
 
     def csv_rows(self) -> list[tuple]:
-        rows = []
-        for o in self.orders:
-            rows.extend(o.rows)
-        return rows
+        return [row for o in self.orders for row in o.rows]
 
 
 def _val_of(vec: PadicVector):
@@ -178,27 +164,96 @@ def _val_of(vec: PadicVector):
     return vec.valuation()
 
 
-def _stage_points(ctx, cfg: ProbeConfig, rng: Random, order: int):
-    """Sampled (x, directions, increment offsets) tuples."""
-    out = []
+@dataclass
+class _Tally:
+    """Samples lost outside the domain (skipped) or to precision (indeterminate)."""
+
+    skipped: int = 0
+    indeterminate: int = 0
+
+
+def _attempt(tally, compute):
+    """Return ``compute()``, or None once its lost sample is counted in ``tally``.
+
+    A point outside the function's domain is skipped; running out of
+    precision, or meeting a zero increment, leaves the sample
+    indeterminate.  ``tally`` is anything with ``skipped`` and
+    ``indeterminate`` counters.
+    """
+    try:
+        return compute()
+    except DomainError:
+        tally.skipped += 1
+    except (PrecisionExhausted, ZeroIncrement):
+        tally.indeterminate += 1
+    return None
+
+
+def _walk(tally, value_at, stages):
+    """Values along ``stages`` up to the first lost one, and whether all came."""
+    values = []
+    for j in stages:
+        value = _attempt(tally, lambda: value_at(j))
+        if value is None:
+            return values, False
+        values.append(value)
+    return values, True
+
+
+def _walks(f: FunctionExpr, cfg: ProbeConfig, rng: Random | None = None, focus=None):
+    """Every probed sequence as (sample, tag, stages, value_at, point).
+
+    ``value_at(j)`` is the value probed at stage j and ``point`` the base
+    point a witness names.  A focus list is one walk of f, its points
+    taken in order at stages j0, j0 + 1, ...  With ``rng``, cfg.samples
+    base points x follow.  At order 0 each walks f(x + v*pi**j) along a
+    unit direction v; the directions are drawn after every base point.
+    At order n >= 1 each walks the partial quotient at
+    (x; v_1..v_n; pi**(j + o_1)..pi**(j + o_n)), once with equal offsets
+    o_i = 0 and, with cfg.randomize_increments, once with offsets drawn
+    from 0..2.
+    """
+    ctx = _context_of(cfg.region)
+    if focus is not None:
+        focus = list(focus)
+        yield (
+            0,
+            "focus",
+            range(cfg.j0, cfg.j0 + len(focus)),
+            lambda j: f.evaluate(focus[j - cfg.j0]),
+            focus[-1] if focus else None,
+        )
+    if rng is None:
+        return
+    order, dim = cfg.order, cfg.region.dim
+    stages = range(cfg.j0, cfg.j1 + 1)
+    if order == 0:
+        xs = [ctx.sample_ball(cfg.region, rng) for _ in range(cfg.samples)]
+        for s, x in enumerate(xs):
+            v = ctx.sample_unit_direction(dim, rng)
+            yield s, "order0", stages, lambda j, x=x, v=v: f.evaluate(
+                x + v * ctx.pi_pow(j)
+            ), x
+        return
     for s in range(cfg.samples):
         x = ctx.sample_ball(cfg.region, rng)
-        dirs = tuple(
-            ctx.sample_unit_direction(cfg.region.dim, rng) for _ in range(order)
-        )
-        offsets = [tuple(0 for _ in range(order))]
-        if cfg.randomize_increments and order >= 1:
+        dirs = tuple(ctx.sample_unit_direction(dim, rng) for _ in range(order))
+        offsets = [(0,) * order]
+        if cfg.randomize_increments:
             offsets.append(tuple(rng.randrange(0, 3) for _ in range(order)))
-        out.append((s, x, dirs, offsets))
-    return out
+        for tag, off in zip(("equal", "randomized"), offsets):
+            yield s, tag, stages, lambda j, x=x, dirs=dirs, off=off: phi(
+                f, PhiPoint(x, dirs, tuple(ctx.pi_pow(j + o) for o in off))
+            ), x
 
 
-def _order_values(ctx, f, x, dirs, offsets, j):
-    if not dirs:
-        raise AssertionError("order-0 handled separately")
-    ts = tuple(ctx.pi_pow(j + o) for o in offsets)
-    pt = PhiPoint(x, dirs, ts)
-    return phi(f, pt)
+def _grows_past(norms: list, ceiling: Fraction) -> bool:
+    """Norms growing strictly over at least three stages up to ``ceiling``."""
+    return (
+        len(norms) >= 3
+        and all(b > a for a, b in zip(norms, norms[1:]))
+        and norms[-1] >= ceiling
+    )
 
 
 def _cauchy_verdict(
@@ -255,126 +310,58 @@ def continuity_probe(
     value at the region center, so a jump of fixed size along the
     sequence fails the criterion.  Higher orders evaluate the partial
     quotient on the geometric increment grid and apply the same
-    criterion to successive stage differences.
+    criterion to successive stage differences.  Only walks that reach
+    their last stage count as evidence; when none does the verdict is
+    Indeterminate.
     """
-    ctx = _context_of(cfg.region)
-    rng = Random(cfg.seed)
     order = cfg.order
     report = OrderReport(order, Verdict.CONTINUOUS_EXTENSION, Fraction(0))
-    all_pass = True
-    unbounded = False
-
-    def record_rows(sample_idx, values, stages, tag):
-        nonlocal unbounded
+    ceiling = Fraction(_context_of(cfg.region).p) ** cfg.growth_ceiling
+    reference = None
+    if order == 0 and focus is not None:
+        walks = _walks(f, cfg, focus=focus)
+        # The center value is a reference, not a sample: losing it is not counted.
+        reference = _attempt(_Tally(), lambda: f.evaluate(cfg.region.center))
+    else:
+        walks = _walks(f, cfg, Random(cfg.seed))
+    for s, tag, stages, value_at, point in walks:
+        values, complete = _walk(report, value_at, stages)
+        if not complete:
+            continue
         norms = [v.norm() for v in values]
-        if norms:
-            report.max_norm = max(report.max_norm, max(norms))
-        for st, value in zip(stages, values):
-            report.rows.append(
-                (
-                    sample_idx,
-                    order,
-                    st,
-                    tag,
-                    _val_str(value.valuation()),
-                    str(value.norm()),
-                )
-            )
-        if (
-            len(norms) >= 3
-            and all(b > a for a, b in zip(norms, norms[1:]))
-            and norms[-1] >= Fraction(ctx.p) ** cfg.growth_ceiling
-        ):
-            unbounded = True
+        report.max_norm = max([report.max_norm, *norms])
+        report.rows.extend(
+            (s, order, j, tag, _val_str(v.valuation()), str(n))
+            for j, v, n in zip(stages, values, norms)
+        )
+        if _grows_past(norms, ceiling):
             report.witnesses.append(
                 Witness(
                     order,
-                    sample_idx,
+                    s,
                     stages[-1],
                     "norm-growth",
                     [str(n) for n in norms],
                     f"norms grew to {norms[-1]} across refining stages",
                 )
             )
-            return True
-        return False
-
-    def check_cauchy(sample_idx, seq_vals, stages, point_json):
-        nonlocal all_pass
-        ok, idx, why = _cauchy_verdict(seq_vals, cfg.delta)
+            continue
+        if reference is None:
+            seq, at = [_val_of(b - a) for a, b in zip(values, values[1:])], stages[1:]
+        else:
+            seq, at = [_val_of(v - reference) for v in values], stages
+        ok, idx, why = _cauchy_verdict(seq, cfg.delta)
         if not ok:
-            all_pass = False
             report.witnesses.append(
-                Witness(order, sample_idx, stages[idx], "cauchy-failure", point_json, why)
+                Witness(order, s, at[idx], "cauchy-failure", point.to_json(), why)
             )
-
-    if order == 0 and focus is not None:
-        base_value = None
-        try:
-            base_value = f.evaluate(cfg.region.center)
-        except (DomainError, PrecisionExhausted):
-            base_value = None
-        values, stages = [], []
-        try:
-            for i, point in enumerate(focus):
-                values.append(f.evaluate(point))
-                stages.append(cfg.j0 + i)
-        except DomainError:
-            report.skipped += 1
-        except PrecisionExhausted:
-            report.indeterminate += 1
-        if values and not record_rows(0, values, stages, "focus"):
-            if base_value is not None:
-                seq = [_val_of(v - base_value) for v in values]
-                detail = [p.to_json() for p in focus[: len(values)]]
-                check_cauchy(0, seq, stages, detail[-1] if detail else None)
-            else:
-                seq = [_val_of(b - a) for a, b in zip(values, values[1:])]
-                check_cauchy(0, seq, stages[1:], None)
-    elif order == 0:
-        for s, x, dirs, offsets in _stage_points(ctx, cfg, rng, 0):
-            v = ctx.sample_unit_direction(cfg.region.dim, rng)
-            values, stages = [], []
-            try:
-                for j in range(cfg.j0, cfg.j1 + 1):
-                    values.append(f.evaluate(x + v * ctx.pi_pow(j)))
-                    stages.append(j)
-            except DomainError:
-                report.skipped += 1
-                continue
-            except PrecisionExhausted:
-                report.indeterminate += 1
-                continue
-            if not record_rows(s, values, stages, "order0"):
-                seq = [_val_of(b - a) for a, b in zip(values, values[1:])]
-                check_cauchy(s, seq, stages[1:], x.to_json())
-    else:
-        for s, x, dirs, offsets in _stage_points(ctx, cfg, rng, order):
-            for tag_i, off in enumerate(offsets):
-                tag = "equal" if tag_i == 0 else "randomized"
-                values, stages = [], []
-                try:
-                    for j in range(cfg.j0, cfg.j1 + 1):
-                        values.append(_order_values(ctx, f, x, dirs, off, j))
-                        stages.append(j)
-                except DomainError:
-                    report.skipped += 1
-                    continue
-                except (PrecisionExhausted, ZeroIncrement):
-                    report.indeterminate += 1
-                    continue
-                if not record_rows(s, values, stages, tag):
-                    seq = [_val_of(b - a) for a, b in zip(values, values[1:])]
-                    check_cauchy(s, seq, stages[1:], x.to_json())
-
-    if unbounded:
+    kinds = {w.kind for w in report.witnesses}
+    if "norm-growth" in kinds:
         report.verdict = Verdict.UNBOUNDED
-    elif not all_pass:
+    elif kinds:
         report.verdict = Verdict.LOCALLY_BOUNDED
-    elif report.indeterminate and report.indeterminate >= cfg.samples:
+    elif not report.rows:  # no walk reached its last stage
         report.verdict = Verdict.INDETERMINATE
-    else:
-        report.verdict = Verdict.CONTINUOUS_EXTENSION
     return report
 
 
@@ -401,32 +388,16 @@ def probe_smoothness(
     for k in range(cfg.order + 1):
         sub = replace(cfg, order=k, seed=cfg.seed + k)
         orders.append(continuity_probe(f, sub, focus=focus if k == 0 else None))
-    fit = None
-    try:
-        fit = lipschitz_fit(f, cfg.region, j0=max(cfg.j0, 1), j1=cfg.j1, seed=cfg.seed)
-    except (DomainError, PrecisionExhausted):
-        fit = None
-    report = SmoothnessReport(
+    config = {knob.name: getattr(cfg, knob.name) for knob in fields(cfg)}
+    config["region"] = cfg.region.to_json()
+    return SmoothnessReport(
         function=f.to_json(),
         orders=orders,
-        lipschitz=fit,
-        config=_config_json(cfg),
+        lipschitz=lipschitz_fit(
+            f, cfg.region, j0=max(cfg.j0, 1), j1=cfg.j1, seed=cfg.seed
+        ),
+        config=config,
     )
-    return report
-
-
-def _config_json(cfg: ProbeConfig) -> dict:
-    return {
-        "order": cfg.order,
-        "region": cfg.region.to_json(),
-        "j0": cfg.j0,
-        "j1": cfg.j1,
-        "samples": cfg.samples,
-        "delta": cfg.delta,
-        "seed": cfg.seed,
-        "growth_ceiling": cfg.growth_ceiling,
-        "randomize_increments": cfg.randomize_increments,
-    }
 
 
 def local_boundedness_probe(
@@ -434,68 +405,46 @@ def local_boundedness_probe(
     cfg: ProbeConfig,
     focus: Sequence[PadicVector] | None = None,
 ) -> dict:
-    """Max norm over the probed grid; growth along refinement is flagged.
+    """Max norm over the probed walks; growth along refinement is flagged.
 
-    The verdict is 'Unbounded' only with a recorded witness sequence of
-    strictly growing norms hitting the configured ceiling.
+    The focus list is walked on f itself, and so are the sampled walks
+    at order 0.  At higher orders the equal-offset quotient walks of a
+    second stream (seed + 1) are walked instead.  Every value measured
+    counts toward the max norm.  The verdict is 'Unbounded' only with a
+    recorded witness sequence of strictly growing norms hitting the
+    configured ceiling, and 'Indeterminate' when no walk reached its
+    last stage.
     """
-    ctx = _context_of(cfg.region)
-    rng = Random(cfg.seed)
+    ceiling = Fraction(_context_of(cfg.region).p) ** cfg.growth_ceiling
+    tally = _Tally()
     max_norm = Fraction(0)
     witness = None
-    skipped = 0
-    indeterminate = 0
-    sequences = []
-    if focus is not None:
-        sequences.append(("focus", list(focus)))
-    for s, x, dirs, offsets in _stage_points(ctx, cfg, rng, cfg.order):
-        if cfg.order == 0:
-            v = ctx.sample_unit_direction(cfg.region.dim, rng)
-            pts = [x + v * ctx.pi_pow(j) for j in range(cfg.j0, cfg.j1 + 1)]
-            sequences.append((f"sample-{s}", pts))
-    for name, pts in sequences:
-        norms = []
-        try:
-            for point in pts:
-                value = f.evaluate(point)
-                norms.append(value.norm())
-        except DomainError:
-            skipped += 1
+    completed = 0
+    rng = Random(cfg.seed if cfg.order == 0 else cfg.seed + 1)
+    for s, tag, stages, value_at, _ in _walks(f, cfg, rng, focus):
+        if tag == "randomized":
             continue
-        except PrecisionExhausted:
-            indeterminate += 1
-            continue
-        if norms:
-            max_norm = max(max_norm, max(norms))
-        if (
-            len(norms) >= 3
-            and all(b > a for a, b in zip(norms, norms[1:]))
-            and norms[-1] >= Fraction(ctx.p) ** cfg.growth_ceiling
-        ):
+        values, complete = _walk(tally, value_at, stages)
+        norms = [v.norm() for v in values]
+        max_norm = max([max_norm, *norms])
+        completed += complete
+        if complete and _grows_past(norms, ceiling):
             witness = {
-                "sequence": name,
+                "sequence": "focus" if tag == "focus" else f"sample-{s}",
                 "norms": [str(n) for n in norms],
             }
-    if cfg.order >= 1:
-        rng2 = Random(cfg.seed + 1)
-        for s, x, dirs, offsets in _stage_points(ctx, cfg, rng2, cfg.order):
-            try:
-                for j in range(cfg.j0, cfg.j1 + 1):
-                    value = _order_values(ctx, f, x, dirs, offsets[0], j)
-                    max_norm = max(max_norm, value.norm())
-            except DomainError:
-                skipped += 1
-            except (PrecisionExhausted, ZeroIncrement):
-                indeterminate += 1
-    verdict = Verdict.UNBOUNDED if witness else Verdict.LOCALLY_BOUNDED
-    if indeterminate and max_norm == 0 and witness is None:
+    if witness:
+        verdict = Verdict.UNBOUNDED
+    elif not completed:
         verdict = Verdict.INDETERMINATE
+    else:
+        verdict = Verdict.LOCALLY_BOUNDED
     return {
         "verdict": verdict.value,
         "max_norm": str(max_norm),
         "witness": witness,
-        "skipped": skipped,
-        "indeterminate": indeterminate,
+        "skipped": tally.skipped,
+        "indeterminate": tally.indeterminate,
     }
 
 
@@ -521,6 +470,7 @@ def lipschitz_fit(
     rng = Random(seed)
     evaluate = f.evaluate if isinstance(f, FunctionExpr) else f
     pairs = []
+    lost = _Tally()
     for j in range(j0, j1 + 1):
         for _ in range(samples):
             x = ctx.sample_ball(region, rng)
@@ -528,9 +478,8 @@ def lipschitz_fit(
                 region.dim, rng
             )
             y = w * ctx.pi_pow(j)
-            try:
-                d = evaluate(x + y) - evaluate(x)
-            except (DomainError, PrecisionExhausted):
+            d = _attempt(lost, lambda: evaluate(x + y) - evaluate(x))
+            if d is None:
                 continue
             a = (y).valuation()
             b = d.valuation()
@@ -585,18 +534,16 @@ def directional_continuity_probe(
     sups = []
     sup_vals = []
     sup_witness = []
-    indeterminate = 0
+    tally = _Tally()
     for j in range(j0, j1 + 1):
         best = Fraction(0)
         best_val = INF
         who = None
         for x in xs:
-            try:
-                diff = f.evaluate(x + v * ctx.pi_pow(j)) - f.evaluate(x)
-            except DomainError:
-                continue
-            except PrecisionExhausted:
-                indeterminate += 1
+            diff = _attempt(
+                tally, lambda: f.evaluate(x + v * ctx.pi_pow(j)) - f.evaluate(x)
+            )
+            if diff is None:
                 continue
             d = Fraction(0) if diff.is_zero() else diff.norm()
             if d > best:
@@ -610,12 +557,12 @@ def directional_continuity_probe(
         sup_vals, delta, oscillation="sup norms returned after vanishing"
     )
     verdict = "converges" if ok else "fails"
-    if indeterminate and ok and all(s == 0 for s in sups):
+    if tally.indeterminate and ok and all(s == 0 for s in sups):
         verdict = "indeterminate"
     out = {
         "verdict": verdict,
         "sups": [str(s) for s in sups],
-        "indeterminate": indeterminate,
+        "indeterminate": tally.indeterminate,
     }
     if not ok:
         out["witness"] = {
@@ -638,31 +585,22 @@ def cn_norm_estimate(f: FunctionExpr, n: int, cfg: ProbeConfig) -> dict:
     rng = Random(cfg.seed)
     sup = Fraction(0)
     by_order = {}
-    indeterminate = 0
+    tally = _Tally()
     for k in range(n + 1):
+        # order 0 has no increment to refine: one stage, f(x) itself
+        stages = range(cfg.j0, cfg.j1 + 1) if k else range(1)
         best = Fraction(0)
         for s in range(cfg.samples):
             x = ctx.sample_ball(cfg.region, rng)
             dirs = tuple(
                 ctx.sample_unit_direction(cfg.region.dim, rng) for _ in range(k)
             )
-            try:
-                if k == 0:
-                    value = f.evaluate(x)
-                    best = max(best, value.norm())
-                else:
-                    for j in range(cfg.j0, cfg.j1 + 1):
-                        ts = tuple(ctx.pi_pow(j) for _ in range(k))
-                        value = phi(f, PhiPoint(x, dirs, ts))
-                        best = max(best, value.norm())
-            except DomainError:
-                continue
-            except (PrecisionExhausted, ZeroIncrement):
-                indeterminate += 1
-                continue
+            values, _ = _walk(
+                tally, lambda j: phi(f, PhiPoint(x, dirs, (ctx.pi_pow(j),) * k)), stages
+            )
+            best = max([best, *(value.norm() for value in values)])
         by_order[k] = best
         sup = max(sup, best)
-    fit = None
     lip_c = Fraction(0)
     if n >= 1:
         rng2 = Random(cfg.seed + 17)
@@ -674,20 +612,16 @@ def cn_norm_estimate(f: FunctionExpr, n: int, cfg: ProbeConfig) -> dict:
         def section(x):
             return phi(f, PhiPoint(x, dirs, ts))
 
-        try:
-            fit = lipschitz_fit(
-                section, cfg.region, j0=max(1, cfg.j0), j1=cfg.j1, seed=cfg.seed + 17
-            )
-            if not fit.degenerate and fit.log_constant.denominator == 1:
-                lip_c = Fraction(ctx.p) ** fit.log_constant.numerator
-        except (DomainError, PrecisionExhausted, ZeroIncrement):
-            fit = None
-    value = max(sup, lip_c)
+        fit = lipschitz_fit(
+            section, cfg.region, j0=max(1, cfg.j0), j1=cfg.j1, seed=cfg.seed + 17
+        )
+        if not fit.degenerate and fit.log_constant.denominator == 1:
+            lip_c = Fraction(ctx.p) ** fit.log_constant.numerator
     return {
-        "value": value,
+        "value": max(sup, lip_c),
         "by_order": {k: str(v) for k, v in by_order.items()},
         "lipschitz_C": str(lip_c),
-        "indeterminate": indeterminate,
+        "indeterminate": tally.indeterminate,
         "unbounded": sup >= Fraction(ctx.p) ** cfg.growth_ceiling,
     }
 
@@ -717,10 +651,7 @@ def boman_experiment(
     for i, u in enumerate(curves):
         comp = compose(f, u)
         sub = replace(cfg, order=n, region=param_region, seed=cfg.seed + 100 + i)
-        cf = None
-        if curve_focus and i in curve_focus:
-            cf = curve_focus[i]
-        rep = probe_smoothness(comp, sub, focus=cf)
+        rep = probe_smoothness(comp, sub, focus=(curve_focus or {}).get(i))
         per_curve.append(
             {
                 "curve": u.to_json(),

@@ -14,6 +14,7 @@ unit-bounded rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -187,16 +188,17 @@ def standard_corpus(ctx: FieldContext, rng: Random, b: int, size: int = 6):
 # -- suites ----------------------------------------------------------------------
 
 
-def _attempt(report: CheckReport, compute):
-    """Return ``compute()``, or None once its sample is recorded indeterminate.
+def _attempt(report: CheckReport, compute, samples: int = 1):
+    """Return ``compute()``, or None once its samples are recorded indeterminate.
 
-    A sample whose computation runs out of precision is neither a pass
-    nor a failure: it counts as sampled and indeterminate.
+    A computation that runs out of precision decides none of the
+    ``samples`` it was to check: each counts as sampled and
+    indeterminate, neither a pass nor a failure.
     """
     try:
         return compute()
     except (PrecisionExhausted, IndeterminateRank):
-        report.record_indeterminate()
+        report.record_indeterminate(samples)
         return None
 
 
@@ -263,7 +265,9 @@ def symmetry_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckRepor
             f = Poly(random_poly(ctx, rng, degree_max=4))
         n = 2 + case % 2
         pt = random_phi_point(ctx, rng, 1, n)
-        sub = _attempt(report, lambda: transposition_symmetry_check(f, pt))
+        sub = _attempt(
+            report, lambda: transposition_symmetry_check(f, pt), math.factorial(n)
+        )
         if sub is not None:
             report.merge(sub)
     return report
@@ -280,7 +284,8 @@ def scaling_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckReport
         pt = random_phi_point(ctx, rng, 1, 1)
         a = random_increment(ctx, rng, 0, 2)
         T = random_increment(ctx, rng, 0, 2)
-        sub = _attempt(report, lambda: scaling_identity_check(f, pt, a, T))
+        # three identities per case
+        sub = _attempt(report, lambda: scaling_identity_check(f, pt, a, T), 3)
         if sub is not None:
             report.merge(sub)
     return report
@@ -314,15 +319,13 @@ def sup_bound_suite(
     per_poly = max(1, samples_total // polynomials)
     for _ in range(polynomials):
         u = random_poly(ctx, rng, degree_max=4)
-        points = []
         for i in range(per_poly):
-            q = 1 + i % max_order
-            points.append(random_upsilon_point(ctx, rng, 1, q))
-        outcome = _attempt(report, lambda: upsilon_sup_bound_check(u, points))
-        if outcome is not None:
-            report.samples += outcome["samples"]
-            report.indeterminate += outcome["indeterminate"]
-            report.failures.extend(outcome["failures"])
+            pt = random_upsilon_point(ctx, rng, 1, 1 + i % max_order)
+            outcome = _attempt(report, lambda: upsilon_sup_bound_check(u, [pt]))
+            if outcome is not None:
+                report.samples += outcome["samples"]
+                report.indeterminate += outcome["indeterminate"]
+                report.failures.extend(outcome["failures"])
     return report
 
 

@@ -296,3 +296,141 @@ def test_readme_example_reports_match_golden_digests(tmp_path):
             f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
         }
         assert digests == README_GOLDEN[suite], suite
+
+
+CUBIC = {
+    "kind": "poly",
+    "polynomial": {
+        "m": 1,
+        "l": 1,
+        "terms": [
+            {"exp": [1], "coeff": [{"p": 5, "num": "2", "den": "1"}]},
+            {"exp": [3], "coeff": [{"p": 5, "num": "1", "den": "1"}]},
+        ],
+    },
+}
+
+
+def _probe_cfg(function, probe, **top):
+    cfg = {"schema": 1, "suite": "probe", "prime": 5, "seed": 3}
+    return {**cfg, "function": function, "probe": probe, **top}
+
+
+# Probe walks the README example does not reach: the sampled order-0
+# directions and the quotient walks with equal and randomized offsets, on
+# both backends (precision 8 runs out of digits on every quotient walk).
+WALK_GOLDEN = {
+    "poly-order2-exact": (
+        _probe_cfg(CUBIC, {"order": 2, "center": [0], "samples": 3}),
+        {
+            "probe_report.json": "b3b404bd554c1e8953c7755b0791ba4dd4e289f4a3ca4149321a281b4833db17",
+            "probe_samples.csv": "5367a9616c32bc8bdd868cf4c59faf86989c98dda480844ec834f7a3edfb326c",
+        },
+    ),
+    "poly-order2-digits": (
+        _probe_cfg(CUBIC, {"order": 2, "center": [0], "samples": 3}, backend="digits"),
+        {
+            "probe_report.json": "50ce06626755d422719f653efb65eb05e928ef000c63a4cdcfa7255bbf5cb1a0",
+            "probe_samples.csv": "5367a9616c32bc8bdd868cf4c59faf86989c98dda480844ec834f7a3edfb326c",
+        },
+    ),
+    "poly-order2-digits8": (
+        _probe_cfg(
+            CUBIC, {"order": 2, "center": [0], "samples": 3}, backend="digits", precision=8
+        ),
+        {
+            "probe_report.json": "93a118eeb01f8418def99855b8974ebc3f58d3d7bda7d4aa1d9ad040f5d73fa0",
+            "probe_samples.csv": "4f500f2f0f4378d320598a15f193ed0ea2a017777d34cc3b0e6fb6cf3cac1355",
+        },
+    ),
+    "thm41-order1-fixed-increments": (
+        _probe_cfg(
+            {"gallery": "thm41", "params": {"m": 1}},
+            {"order": 1, "center": [0, 0], "samples": 3, "randomize_increments": False},
+        ),
+        {
+            "probe_report.json": "53bbf03c7a25a0ed9507d4a8dc3baf0be59828543469594ea13835454fcad521",
+            "probe_samples.csv": "ff92582dacd5177614b50415a5c97b2978dd8126d9c15c1ad1cb1e4d856ea796",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_GOLDEN))
+def test_probe_walk_reports_match_golden_digests(tmp_path, case):
+    cfg, golden = WALK_GOLDEN[case]
+    out = tmp_path / "out"
+    path = write(tmp_path, "cfg.json", cfg)
+    assert main(["probe", "--config", path, "--out", str(out)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == golden
+
+
+@pytest.mark.parametrize("precision", [8, 32])
+def test_digit_backend_thm41_probe_reports_indeterminate(tmp_path, precision):
+    # The witness points are built without evaluating f, so a gate the
+    # digits cannot resolve is an indeterminate walk, not a run error,
+    # and a focus walk that stops early grants nothing.
+    cfg = _probe_cfg(
+        {"gallery": "thm41", "params": {"m": 1}},
+        {"order": 0, "center": [0, 0], "samples": 4},
+        backend="digits",
+        precision=precision,
+    )
+    out = tmp_path / "out"
+    path = write(tmp_path, "cfg.json", cfg)
+    assert main(["probe", "--config", path, "--out", str(out)]) == 0
+    order0 = json.loads((out / "probe_report.json").read_text())["report"]["orders"][0]
+    assert order0["verdict"] == "Indeterminate"
+    assert order0["indeterminate"] >= 1
+
+
+THM41 = {"gallery": "thm41", "params": {"m": 1}}
+
+
+@pytest.mark.parametrize(
+    "function,probe",
+    [
+        (THM41, {"order": "abc"}),
+        (THM41, {"order": True}),
+        (THM41, {"samples": 0}),
+        (THM41, {"j0": 3, "j1": 3}),
+        (THM41, {"randomize_increments": 1}),
+        (THM41, {"center": ["a", 0]}),
+        (THM41, {"radius_exponent": 0.5}),
+        ({"gallery": "thm41", "params": {"m": 1, "zzz": 2}}, {"order": 0}),
+        ({"gallery": "thm41", "params": {"m": "1"}}, {"order": 0}),
+    ],
+    ids=[
+        "order-str",
+        "order-bool",
+        "samples-0",
+        "j0-equals-j1",
+        "randomize-int",
+        "center-str",
+        "radius-float",
+        "gallery-unknown-param",
+        "gallery-param-str",
+    ],
+)
+def test_malformed_probe_values_exit_two(tmp_path, capsys, function, probe):
+    cfg = write(tmp_path, "bad.json", _probe_cfg(function, probe))
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_probe_section_defaults_come_from_probe_config(tmp_path):
+    from dataclasses import fields
+
+    from ultracalc.probe import ProbeConfig
+
+    out = tmp_path / "out"
+    cfg = write(tmp_path, "cfg.json", _probe_cfg(CUBIC, {}))
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    echoed = json.loads((out / "probe_report.json").read_text())["report"]["config"]
+    for knob in fields(ProbeConfig):
+        if knob.name not in ("region", "seed"):
+            assert echoed[knob.name] == knob.default, knob.name
+    assert echoed["order"] == 1

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from ultracalc.errors import DomainError
 from ultracalc.field import Ball, FieldContext, PadicVector, Prime
 from ultracalc.functions import (
     BallIndicator,
@@ -350,3 +351,38 @@ def test_scaling_inequality_rejects_small_q():
             log_b=Fraction(0),
             log_c1=Fraction(0),
         )
+
+
+# -- lost walks -----------------------------------------------------------------------
+
+
+class Nowhere(Poly):
+    """A function whose domain the probes never hit."""
+
+    def evaluate(self, x):
+        raise DomainError("outside the domain everywhere")
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_probes_measuring_nothing_are_indeterminate(order):
+    f = Nowhere(MultiPolynomial.univariate([CTX.vector([1])]))
+    cfg = ProbeConfig(order=order, region=UNIT1, samples=3, seed=83)
+    rep = continuity_probe(f, cfg)
+    assert rep.verdict == Verdict.INDETERMINATE
+    assert rep.skipped == (3 if order == 0 else 6) and rep.rows == []
+    out = local_boundedness_probe(f, cfg)
+    assert out["verdict"] == Verdict.INDETERMINATE.value
+    assert out["skipped"] == 3
+
+
+def test_boundedness_probe_counts_walks_cut_short_at_precision_8():
+    # Every quotient walk of the cubic runs out of digits before its last
+    # stage: the values measured still bound the norm, but no walk
+    # finished, so boundedness is not granted.
+    td8 = FieldContext(Prime(5), backend="digits", precision=8)
+    f = Poly(MultiPolynomial.univariate([td8.vector([c]) for c in (0, 2, 0, 1)]))
+    cfg = ProbeConfig(order=1, region=td8.unit_ball(1), samples=3, seed=3)
+    out = local_boundedness_probe(f, cfg)
+    assert out["indeterminate"] == 3
+    assert out["verdict"] == Verdict.INDETERMINATE.value
+    assert Fraction(out["max_norm"]) > 0

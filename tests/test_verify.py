@@ -75,3 +75,17 @@ def test_sup_bound_apparent_zeros_are_indeterminate_at_precision_8(seed, undecid
     rep = run_checks(td8, seed, checks=["sup_bound"], sizes={"sup_bound": 1000})["sup_bound"]
     assert rep.failures == []
     assert rep.indeterminate >= undecided
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_lost_samples_are_counted_per_point_at_precision_8(seed):
+    # A computation that runs out of precision loses its own samples:
+    # one point of sup_bound, or the three identities of one scaling
+    # case, never a whole batch or a single sample for three.
+    td8 = FieldContext(Prime(5), backend="digits", precision=8)
+    sizes = {"sup_bound": 1000, "scaling": 100}
+    reports = run_checks(td8, seed, checks=["sup_bound", "scaling"], sizes=sizes)
+    assert reports["sup_bound"].samples == 1000
+    scaling = reports["scaling"]
+    assert scaling.samples == 300
+    assert scaling.indeterminate > 0 and scaling.indeterminate % 3 == 0
