@@ -1,10 +1,10 @@
 """Batch front-end: verify | probe | gallery.
 
-Runs are driven by a single JSON config file with strict key
-validation, produce deterministic JSON/CSV reports (full config echo,
-library version, no timestamps), and exit 0 on success, 1 on identity
-failure, 2 on configuration errors.  Output files are written once,
-via atomic rename.
+Runs are driven by a single JSON config file, checked against one
+schema table before anything runs, produce deterministic JSON/CSV
+reports (full config echo, library version, no timestamps), and exit 0
+on success, 1 when a check did not pass, 2 on configuration errors.
+Output files are written once, via atomic rename.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from random import Random
 from . import __version__
 from .errors import ConfigError, UltracalcError
 from .field import Ball, FieldContext, PadicVector, Prime
-from .functions import build_gallery, expr_from_json, polynomial_curve
+from .functions import (
+    build_gallery,
+    check_section,
+    expr_from_json,
+    gallery_schema,
+    polynomial_curve,
+)
 from .gallery import (
     build_counterexample,
     curve_flatness_check,
@@ -31,40 +37,58 @@ from .gallery import (
     patchwork_curve,
 )
 from .probe import ProbeConfig, probe_smoothness
-from .verify import ALL_CHECKS, random_integral_vector, run_checks
+from .verify import ALL_CHECKS, CASE_DEFAULTS, random_integral_vector, run_checks
 
-_TOP_KEYS = {
-    "schema",
-    "suite",
-    "prime",
-    "precision",
-    "backend",
-    "seed",
-    "verify",
-    "probe",
-    "gallery",
-    "function",
+# The config schema: every key of every section, as ``key: (type,
+# default, minimum)`` for ``functions.check_section``; a count is at
+# least 1.  A default that code elsewhere also uses is taken from there:
+# the field context's, ProbeConfig's fields (the probe section spells
+# the region as a center and a radius exponent and takes its seed from
+# the run), verify's case counts and the gallery builders' parameters;
+# thm41 adds the sizes of its checks.  A function given as a gallery
+# item names it and its parameters.
+SCHEMA = {
+    "config": {
+        "schema": (int, 1, None),
+        "suite": (str, None, None),
+        "prime": (int, 5, None),
+        "precision": (int, FieldContext.precision, 1),
+        "backend": (str, FieldContext.backend, None),
+        "seed": (int, 0, None),
+        "verify": (dict, {}, None),
+        "probe": (dict, None, None),
+        "gallery": (dict, None, None),
+        "function": (dict, None, None),
+    },
+    "verify": {
+        "checks": (list, None, None),
+        "cases": (dict, {}, None),
+        "inject_fault": (bool, False, None),
+    },
+    "verify.cases": {key: (int, n, 1) for key, n in CASE_DEFAULTS.items()},
+    "probe": {
+        **{
+            knob.name: (type(knob.default), knob.default, None)
+            for knob in fields(ProbeConfig)
+            if knob.name not in ("region", "seed")
+        },
+        "center": (list, None, None),
+        "radius_exponent": (int, 0, None),
+    },
+    "gallery.thm41": {
+        "name": (str, None, None),
+        **gallery_schema("thm41"),
+        "k_max": (int, 10, 1),
+        "flatness_curves": (int, 5, 1),
+    },
+    "gallery.patchwork": {"name": (str, None, None), **gallery_schema("patchwork")},
+    "function": {"gallery": (str, None, None), "params": (dict, {}, None)},
 }
-_VERIFY_KEYS = {"checks", "cases", "inject_fault"}
-# The probe section spells the region as a center and a radius exponent
-# and takes its seed from the run; every other ProbeConfig field is a
-# key of the same name, type and default.
-_PROBE_DEFAULTS = {
-    knob.name: knob.default
-    for knob in fields(ProbeConfig)
-    if knob.name not in ("region", "seed")
-}
-_PROBE_KEYS = set(_PROBE_DEFAULTS) | {"center", "radius_exponent"}
-_GALLERY_KEYS = {"name", "k_max", "m", "flatness_curves", "depth", "target_dim"}
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple[dict, dict]:
+    """The config as read, and its settings: every section checked
+    against ``SCHEMA``, every default filled in."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -72,31 +96,47 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(cfg, _TOP_KEYS, "config")
-    if cfg.get("schema", 1) != 1:
-        raise ConfigError(f"unsupported schema version: {cfg.get('schema')}")
-    if "verify" in cfg:
-        _require_keys(cfg["verify"], _VERIFY_KEYS, "verify")
-    if "probe" in cfg:
-        _require_keys(cfg["probe"], _PROBE_KEYS, "probe")
-    if "gallery" in cfg:
-        _require_keys(cfg["gallery"], _GALLERY_KEYS, "gallery")
-    backend = cfg.get("backend", "exact")
-    if backend not in ("exact", "digits"):
-        raise ConfigError(f"unknown backend: {backend}")
-    return cfg
+    settings = check_section(cfg, SCHEMA["config"], "config")
+    if settings["schema"] != 1:
+        raise ConfigError(f"unsupported schema version: {settings['schema']}")
+    verify = settings["verify"] = check_section(settings["verify"], SCHEMA["verify"], "verify")
+    verify["cases"] = check_section(verify["cases"], SCHEMA["verify.cases"], "verify.cases")
+    unknown = [c for c in verify["checks"] or () if c not in ALL_CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown checks: {unknown}")
+    if settings["probe"] is not None:
+        settings["probe"] = check_section(settings["probe"], SCHEMA["probe"], "probe")
+    gallery = settings["gallery"]
+    if gallery is not None:
+        item = f"gallery.{gallery.get('name')}"
+        if item not in SCHEMA:
+            raise ConfigError(f"unknown gallery item: {gallery.get('name')!r}")
+        settings["gallery"] = check_section(gallery, SCHEMA[item], "gallery")
+    return cfg, settings
 
 
-def context_from(cfg: dict) -> FieldContext:
+def _build(command: str, settings: dict, seed: int):
+    """The run's field context and the object its command works on.
+
+    Every object made from config values is made here, and here only a
+    ValueError, TypeError, KeyError or ArithmeticError means a bad value
+    in the config: elsewhere it is a fault of the program.
+    """
+    if settings[command] is None:
+        raise ConfigError(f"{command} runs need a '{command}' section")
     try:
-        prime = Prime(int(cfg.get("prime", 5)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return FieldContext(
-        prime, backend=cfg.get("backend", "exact"), precision=int(cfg.get("precision", 32))
-    )
+        ctx = FieldContext(
+            Prime(settings["prime"]),
+            backend=settings["backend"],
+            precision=settings["precision"],
+        )
+        if command == "probe":
+            return ctx, _probe_job(ctx, settings, seed)
+        if command == "gallery":
+            return ctx, _gallery_item(ctx, settings["gallery"])
+        return ctx, None
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+        raise ConfigError(f"{command}: {type(exc).__name__}: {exc}") from exc
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -126,47 +166,41 @@ def _dump_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _base_payload(cfg: dict) -> dict:
-    return {"config": cfg, "version": __version__}
+# A run returns its report body, the name of its CSV file, and that
+# file's header and rows.
+def _write_reports(out_dir: str, fmt: str, payload: dict, csv_name: str, header, rows) -> None:
+    if fmt in ("json", "both"):
+        name = f"{payload['suite']}_report.json"
+        _atomic_write(os.path.join(out_dir, name), _dump_json(payload))
+    if fmt in ("csv", "both"):
+        _atomic_write(os.path.join(out_dir, csv_name), _dump_csv(header, rows))
 
 
 # -- verify ----------------------------------------------------------------------
 
 
-def run_verify(cfg: dict, out_dir: str, fmt: str, seed: int) -> int:
-    ctx = context_from(cfg)
-    section = cfg.get("verify", {})
-    checks = section.get("checks")
-    if checks is not None:
-        unknown = [c for c in checks if c not in ALL_CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown checks: {unknown}")
-    sizes = section.get("cases", {})
-    if not isinstance(sizes, dict):
-        raise ConfigError("verify.cases must map check names to sizes")
-    inject = bool(section.get("inject_fault", False))
-    reports = run_checks(ctx, seed, checks=checks, sizes=sizes, inject_fault=inject)
-    payload = _base_payload(cfg)
-    payload["suite"] = "verify"
-    payload["checks"] = {name: rep.to_json() for name, rep in reports.items()}
-    payload["differential_normalization"] = _differential_note(ctx)
-    failures = sum(len(rep.failures) for rep in reports.values())
-    indeterminate = sum(rep.indeterminate for rep in reports.values())
-    payload["failures"] = failures
-    payload["indeterminate"] = indeterminate
-    payload["passed"] = failures == 0
-    if fmt in ("json", "both"):
-        _atomic_write(os.path.join(out_dir, "verify_report.json"), _dump_json(payload))
-    if fmt in ("csv", "both"):
-        rows = [
-            (name, rep.samples, len(rep.failures), rep.indeterminate, rep.passed)
-            for name, rep in sorted(reports.items())
-        ]
-        _atomic_write(
-            os.path.join(out_dir, "verify_report.csv"),
-            _dump_csv(("check", "samples", "failures", "indeterminate", "passed"), rows),
-        )
-    return 0 if failures == 0 else 1
+def run_verify(section: dict, ctx: FieldContext, seed: int):
+    reports = run_checks(
+        ctx,
+        seed,
+        checks=section["checks"],
+        sizes=section["cases"],
+        inject_fault=section["inject_fault"],
+    )
+    body = {
+        "suite": "verify",
+        "checks": {name: rep.to_json() for name, rep in reports.items()},
+        "differential_normalization": _differential_note(ctx),
+        "failures": sum(len(rep.failures) for rep in reports.values()),
+        "indeterminate": sum(rep.indeterminate for rep in reports.values()),
+        "passed": all(rep.passed for rep in reports.values()),
+    }
+    header = ("check", "samples", "failures", "indeterminate", "passed")
+    rows = [
+        (name, rep.samples, len(rep.failures), rep.indeterminate, rep.passed)
+        for name, rep in sorted(reports.items())
+    ]
+    return body, "verify_report.csv", header, rows
 
 
 def _differential_note(ctx: FieldContext) -> dict:
@@ -197,69 +231,41 @@ def _differential_note(ctx: FieldContext) -> dict:
 # -- probe -----------------------------------------------------------------------
 
 
-def _resolve_function(cfg: dict, ctx: FieldContext):
-    spec = cfg.get("function")
+def _resolve_function(spec: dict | None, ctx: FieldContext):
     if spec is None:
         raise ConfigError("probe runs need a 'function' entry")
     if "gallery" in spec:
-        extra = set(spec) - {"gallery", "params"}
-        if extra:
-            raise ConfigError(f"unknown keys in function: {sorted(extra)}")
-        name = spec["gallery"]
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("function.params must be an object")
-        return build_gallery(name, ctx, **params), name
+        item = check_section(spec, SCHEMA["function"], "function")
+        return build_gallery(item["gallery"], ctx, **item["params"]), item["gallery"]
     return expr_from_json(ctx, spec), spec.get("kind", "expr")
 
 
-def _probe_config(section: dict, ctx: FieldContext, dim: int, seed: int) -> ProbeConfig:
-    """The section's ProbeConfig; every key has the type of its default."""
-    for key, default in {**_PROBE_DEFAULTS, "radius_exponent": 0}.items():
-        if key in section and type(section[key]) is not type(default):
-            want = type(default).__name__
-            raise ConfigError(f"probe.{key} must be {want}, got {section[key]!r}")
-    center = section.get("center", [0] * dim)
-    if not isinstance(center, list) or len(center) != dim:
-        raise ConfigError(f"probe.center must be a list of {dim} numbers")
-    knobs = {key: section[key] for key in _PROBE_DEFAULTS if key in section}
-    try:
-        region = Ball(
-            ctx.vector([Fraction(c) for c in center]), section.get("radius_exponent", 0)
-        )
-        return ProbeConfig(region=region, seed=seed, **knobs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"probe: {exc}") from exc
-
-
-def run_probe(cfg: dict, out_dir: str, fmt: str, seed: int) -> int:
-    ctx = context_from(cfg)
-    section = cfg.get("probe")
-    if section is None:
-        raise ConfigError("probe runs need a 'probe' section")
-    f, name = _resolve_function(cfg, ctx)
-    pc = _probe_config(section, ctx, f.input_dim, seed)
+def _probe_job(ctx: FieldContext, settings: dict, seed: int):
+    """The function to probe, its ProbeConfig and the points to focus on."""
+    f, name = _resolve_function(settings["function"], ctx)
+    knobs = dict(settings["probe"])
+    center = knobs.pop("center")
+    if center is None:
+        center = [0] * f.input_dim
+    if len(center) != f.input_dim:
+        raise ConfigError(f"probe.center must be a list of {f.input_dim} numbers")
+    region = Ball(ctx.vector([Fraction(c) for c in center]), knobs.pop("radius_exponent"))
+    pc = ProbeConfig(region=region, seed=seed, **knobs)
     focus = None
     if name == "thm41":
         # The witness points (h(pi**k), pi**k); the probe evaluates them.
         cf = build_counterexample(ctx, f.params["m"])
         ys = [ctx.pi_pow(k) for k in range(1, pc.j1 - pc.j0 + 2)]
         focus = [PadicVector([*cf.h_vector(y).entries, y]) for y in ys]
+    return f, pc, focus
+
+
+def run_probe(ctx: FieldContext, job):
+    f, pc, focus = job
     report = probe_smoothness(f, pc, focus=focus)
-    payload = _base_payload(cfg)
-    payload["suite"] = "probe"
-    payload["report"] = report.to_json(ctx.p)
-    if fmt in ("json", "both"):
-        _atomic_write(os.path.join(out_dir, "probe_report.json"), _dump_json(payload))
-    if fmt in ("csv", "both"):
-        _atomic_write(
-            os.path.join(out_dir, "probe_samples.csv"),
-            _dump_csv(
-                ("sample", "order", "stage", "pass_kind", "valuation", "norm"),
-                report.csv_rows(),
-            ),
-        )
-    return 0
+    body = {"suite": "probe", "report": report.to_json(ctx.p)}
+    header = ("sample", "order", "stage", "pass_kind", "valuation", "norm")
+    return body, "probe_samples.csv", header, report.csv_rows()
 
 
 # -- gallery ---------------------------------------------------------------------
@@ -276,25 +282,15 @@ def _flatness_curves(ctx: FieldContext, m: int, count: int, seed: int):
     return curves
 
 
-def run_gallery(cfg: dict, out_dir: str, fmt: str, seed: int) -> int:
-    ctx = context_from(cfg)
-    section = cfg.get("gallery")
-    if section is None:
-        raise ConfigError("gallery runs need a 'gallery' section")
-    name = section.get("name")
-    if name == "thm41":
-        return _gallery_thm41(cfg, ctx, section, out_dir, fmt, seed)
-    if name == "patchwork":
-        return _gallery_patchwork(cfg, ctx, section, out_dir, fmt, seed)
-    raise ConfigError(f"unknown gallery item: {name}")
+def _gallery_item(ctx: FieldContext, section: dict):
+    if section["name"] == "thm41":
+        return build_counterexample(ctx, section["m"])
+    return patchwork_curve(ctx, section["depth"], target_dim=section["target_dim"])
 
 
-def _gallery_thm41(cfg, ctx, section, out_dir, fmt, seed) -> int:
-    m = int(section.get("m", 1))
-    k_max = int(section.get("k_max", 10))
-    n_curves = int(section.get("flatness_curves", 5))
-    cf = build_counterexample(ctx, m)
-    witness = discontinuity_witness(cf, k_max)
+def _gallery_thm41(ctx, section, cf, seed):
+    m = section["m"]
+    witness = discontinuity_witness(cf, section["k_max"])
     rows = [
         (w["k"], str(w["x_norm"]), str(w["y_norm"]), str(w["value_norm"]))
         for w in witness
@@ -307,38 +303,24 @@ def _gallery_thm41(cfg, ctx, section, out_dir, fmt, seed) -> int:
             zero_checks += 1
     flatness = [
         curve_flatness_check(cf, u, seed=seed + i)
-        for i, u in enumerate(_flatness_curves(ctx, m, n_curves, seed))
+        for i, u in enumerate(_flatness_curves(ctx, m, section["flatness_curves"], seed))
     ]
-    payload = _base_payload(cfg)
-    payload["suite"] = "gallery"
-    payload["item"] = "thm41"
-    payload["witness"] = [
-        {
-            "k": w["k"],
-            "x_norm": str(w["x_norm"]),
-            "y_norm": str(w["y_norm"]),
-            "value_norm": str(w["value_norm"]),
-        }
-        for w in witness
-    ]
-    payload["zero_section"] = {"samples": 100, "all_zero": zero_checks == 100}
-    payload["flatness"] = flatness
-    payload["passed"] = (
-        all(w["value_norm"] == Fraction(1) for w in witness)
-        and zero_checks == 100
-        and all(rep["passed"] for rep in flatness)
-    )
-    if fmt in ("json", "both"):
-        _atomic_write(os.path.join(out_dir, "gallery_report.json"), _dump_json(payload))
-    if fmt in ("csv", "both"):
-        _atomic_write(
-            os.path.join(out_dir, "witness.csv"),
-            _dump_csv(("k", "x_norm", "y_norm", "f_norm"), rows),
-        )
-    return 0 if payload["passed"] else 1
+    body = {
+        "suite": "gallery",
+        "item": "thm41",
+        "witness": [dict(zip(("k", "x_norm", "y_norm", "value_norm"), row)) for row in rows],
+        "zero_section": {"samples": 100, "all_zero": zero_checks == 100},
+        "flatness": flatness,
+        "passed": (
+            all(w["value_norm"] == Fraction(1) for w in witness)
+            and zero_checks == 100
+            and all(rep["passed"] for rep in flatness)
+        ),
+    }
+    return body, "witness.csv", ("k", "x_norm", "y_norm", "f_norm"), rows
 
 
-def _gallery_patchwork(cfg, ctx, section, out_dir, fmt, seed) -> int:
+def _gallery_patchwork(ctx, pw, seed):
     from .engine import UpsilonPoint, upsilon
     from .verify import (
         random_increment,
@@ -346,9 +328,7 @@ def _gallery_patchwork(cfg, ctx, section, out_dir, fmt, seed) -> int:
         random_unit_bounded,
     )
 
-    depth = int(section.get("depth", 3))
-    target_dim = int(section.get("target_dim", 2))
-    pw = patchwork_curve(ctx, depth, target_dim=target_dim)
+    depth = pw.depth
     relations = []
     for a in range(depth):
         for b in range(a + 1, depth):
@@ -397,31 +377,15 @@ def _gallery_patchwork(cfg, ctx, section, out_dir, fmt, seed) -> int:
                 )
                 if measured > ceiling:
                     violations += 1
-    payload = _base_payload(cfg)
-    payload["suite"] = "gallery"
-    payload["item"] = "patchwork"
-    payload["disjoint_supports"] = relations
-    payload["quotient_bounds"] = [
-        {
-            "piece": r[0],
-            "order": r[1],
-            "measured": r[2],
-            "ceiling": r[3],
-            "within": r[4],
-        }
-        for r in bound_rows
-    ]
-    payload["passed"] = (
-        all(r["relation"] == "disjoint" for r in relations) and violations == 0
-    )
-    if fmt in ("json", "both"):
-        _atomic_write(os.path.join(out_dir, "gallery_report.json"), _dump_json(payload))
-    if fmt in ("csv", "both"):
-        _atomic_write(
-            os.path.join(out_dir, "patchwork_bounds.csv"),
-            _dump_csv(("piece", "order", "measured", "ceiling", "within"), bound_rows),
-        )
-    return 0 if payload["passed"] else 1
+    header = ("piece", "order", "measured", "ceiling", "within")
+    body = {
+        "suite": "gallery",
+        "item": "patchwork",
+        "disjoint_supports": relations,
+        "quotient_bounds": [dict(zip(header, row)) for row in bound_rows],
+        "passed": all(r["relation"] == "disjoint" for r in relations) and violations == 0,
+    }
+    return body, "patchwork_bounds.csv", header, bound_rows
 
 
 # -- entry point -----------------------------------------------------------------
@@ -447,19 +411,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        suite = cfg.get("suite")
+        cfg, settings = load_config(args.config)
+        suite = settings["suite"]
         if suite is not None and suite != args.command:
             raise ConfigError(
                 f"config declares suite '{suite}' but the command is "
                 f"'{args.command}'"
             )
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else settings["seed"]
+        ctx, built = _build(args.command, settings, seed)
         if args.command == "verify":
-            return run_verify(cfg, args.out, args.format, seed)
-        if args.command == "probe":
-            return run_probe(cfg, args.out, args.format, seed)
-        return run_gallery(cfg, args.out, args.format, seed)
+            report = run_verify(settings["verify"], ctx, seed)
+        elif args.command == "probe":
+            report = run_probe(ctx, built)
+        elif settings["gallery"]["name"] == "thm41":
+            report = _gallery_thm41(ctx, settings["gallery"], built, seed)
+        else:
+            report = _gallery_patchwork(ctx, built, seed)
+        body, csv_name, header, rows = report
+        payload = {"config": cfg, "version": __version__, **body}
+        _write_reports(args.out, args.format, payload, csv_name, header, rows)
+        # A probe report holds evidence, not a verdict to pass or fail.
+        return 0 if body.get("passed", True) else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -390,7 +390,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.indeterminate == 0
+        """Some sample was checked, and every sample agreed."""
+        return self.samples > 0 and not self.failures and self.indeterminate == 0
 
     def record(self, point_json, lhs: PadicVector, rhs: PadicVector) -> None:
         self.samples += 1

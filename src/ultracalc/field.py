@@ -629,6 +629,10 @@ class Ball:
     center: PadicVector
     radius_exponent: int
 
+    def __post_init__(self) -> None:
+        if type(self.radius_exponent) is not int:
+            raise TypeError(f"radius exponent must be int, got {self.radius_exponent!r}")
+
     @property
     def radius(self) -> Fraction:
         p = self.center.entries[0].prime.p
@@ -744,6 +748,8 @@ class FieldContext:
         return PadicVector(coords)
 
     def scalar_from_json(self, data: dict) -> PadicScalar:
+        if type(data) is not dict:
+            raise TypeError(f"a scalar is a JSON object, got {data!r}")
         if "num" in data:
             value = Fraction(int(data["num"]), int(data["den"]))
             return self.scalar(value)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import DimensionMismatch, DomainError
+from .errors import ConfigError, DimensionMismatch, DomainError
 from .field import Ball, FieldContext, PadicScalar, PadicVector
 
 
@@ -449,27 +449,70 @@ def gallery_names() -> list[str]:
     return sorted(_GALLERY)
 
 
-def build_gallery(name: str, ctx: FieldContext, /, **params) -> FunctionExpr:
-    """Build a gallery item; its parameters must match the builder's defaults."""
+def gallery_schema(name: str) -> dict:
+    """A gallery item's parameters as a ``check_section`` schema: its
+    builder's keyword parameters and defaults, each a count of at least 1."""
     if name not in _GALLERY:
         raise DomainError(f"unknown gallery item: {name}")
-    builder = _GALLERY[name]
-    _, *knobs = inspect.signature(builder).parameters.values()
-    defaults = {knob.name: knob.default for knob in knobs}
-    for key, value in params.items():
-        if key not in defaults:
-            raise DomainError(f"gallery item {name} takes no parameter {key!r}")
-        want = type(defaults[key])
-        if defaults[key] is not inspect.Parameter.empty and type(value) is not want:
-            raise DomainError(f"gallery item {name}: {key} must be {want.__name__}")
-    return builder(ctx, **params)
+    _, *knobs = inspect.signature(_GALLERY[name]).parameters.values()
+    return {knob.name: (type(knob.default), knob.default, 1) for knob in knobs}
+
+
+def build_gallery(name: str, ctx: FieldContext, /, **params) -> FunctionExpr:
+    """Build a gallery item from parameters checked against its schema."""
+    schema = gallery_schema(name)
+    return _GALLERY[name](ctx, **check_section(params, schema, f"gallery item {name}"))
+
+
+# -- config sections ------------------------------------------------------------
+
+
+def check_section(section, schema: Mapping[str, tuple], where: str) -> dict:
+    """``section`` checked against ``schema``, with every default filled in.
+
+    ``schema`` maps each key a section may hold to ``(type, default,
+    minimum)``: a value must be of that type, and at least the minimum
+    unless that is None.  A key that is absent reads its default.
+    """
+    if type(section) is not dict:
+        raise ConfigError(f"{where} must be an object, got {section!r}")
+    unknown = sorted(set(section) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    checked = {}
+    for key, (want, default, minimum) in schema.items():
+        value = checked[key] = section.get(key, default)
+        if key in section and type(value) is not want:
+            raise ConfigError(f"{where}.{key} must be {want.__name__}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{where}.{key} must be at least {minimum}, got {value!r}")
+    return checked
 
 
 # -- JSON expression grammar --------------------------------------------------
 
+# The keys each expression kind needs besides "kind"; a gallery item may
+# also take "params".
+_EXPR_KEYS = {
+    "poly": ("polynomial",),
+    "ball_indicator": ("ball",),
+    "sum": ("parts",),
+    "product": ("parts",),
+    "scale": ("factor", "inner"),
+    "shift": ("offset", "inner"),
+    "affine_precompose": ("center", "scale", "inner"),
+    "compose": ("outer", "inner"),
+    "gallery": ("name",),
+}
+
 
 def expr_from_json(ctx: FieldContext, data: dict) -> FunctionExpr:
-    kind = data.get("kind")
+    kind = data.get("kind") if type(data) is dict else None
+    if type(kind) is not str or kind not in _EXPR_KEYS:
+        raise ConfigError(f"not a function expression: {data!r}")
+    missing = [key for key in _EXPR_KEYS[kind] if key not in data]
+    if missing:
+        raise ConfigError(f"expression kind {kind!r} needs keys {missing}")
     if kind == "poly":
         pd = data["polynomial"]
         terms = {
@@ -505,6 +548,4 @@ def expr_from_json(ctx: FieldContext, data: dict) -> FunctionExpr:
         return Compose(
             expr_from_json(ctx, data["outer"]), expr_from_json(ctx, data["inner"])
         )
-    if kind == "gallery":
-        return build_gallery(data["name"], ctx, **data.get("params", {}))
-    raise DomainError(f"unknown expression kind: {kind}")
+    return build_gallery(data["name"], ctx, **data.get("params", {}))

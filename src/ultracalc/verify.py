@@ -48,17 +48,6 @@ from .functions import (
     polynomial_curve,
 )
 
-ALL_CHECKS = (
-    "leibniz",
-    "scaling",
-    "symmetry",
-    "closed_form",
-    "restriction",
-    "rank",
-    "sup_bound",
-    "chain",
-)
-
 _COPRIME_DENOMS = {2: (3, 5, 7), 3: (2, 4, 5), 5: (2, 3, 7), 7: (2, 3, 5)}
 
 
@@ -205,7 +194,7 @@ def _attempt(report: CheckReport, compute, samples: int = 1):
 def leibniz_suite(
     ctx: FieldContext,
     seed: int,
-    cases: int = 100,
+    cases: int,
     orders: Sequence[int] = (1, 2, 3),
     inject_fault: bool = False,
 ) -> CheckReport:
@@ -228,8 +217,8 @@ def leibniz_suite(
 def closed_form_suite(
     ctx: FieldContext,
     seed: int,
-    phi_cases: int = 200,
-    upsilon_cases: int = 100,
+    phi_cases: int,
+    upsilon_cases: int,
 ) -> CheckReport:
     rng = Random(seed)
     report = CheckReport("closed_form")
@@ -252,7 +241,7 @@ def closed_form_suite(
     return report
 
 
-def symmetry_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckReport:
+def symmetry_suite(ctx: FieldContext, seed: int, cases: int) -> CheckReport:
     rng = Random(seed)
     report = CheckReport("symmetry")
     for case in range(cases):
@@ -273,7 +262,7 @@ def symmetry_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckRepor
     return report
 
 
-def scaling_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckReport:
+def scaling_suite(ctx: FieldContext, seed: int, cases: int) -> CheckReport:
     rng = Random(seed)
     report = CheckReport("scaling")
     for case in range(cases):
@@ -292,7 +281,7 @@ def scaling_suite(ctx: FieldContext, seed: int, cases: int = 100) -> CheckReport
 
 
 def restriction_suite(
-    ctx: FieldContext, seed: int, cases: int = 60, max_order: int = 3
+    ctx: FieldContext, seed: int, cases: int, max_order: int = 3
 ) -> CheckReport:
     rng = Random(seed)
     report = CheckReport("restriction")
@@ -310,8 +299,8 @@ def restriction_suite(
 def sup_bound_suite(
     ctx: FieldContext,
     seed: int,
+    samples_total: int,
     polynomials: int = 20,
-    samples_total: int = 1000,
     max_order: int = 3,
 ) -> CheckReport:
     rng = Random(seed)
@@ -329,7 +318,7 @@ def sup_bound_suite(
     return report
 
 
-def chain_suite(ctx: FieldContext, seed: int, cases: int = 50) -> CheckReport:
+def chain_suite(ctx: FieldContext, seed: int, cases: int) -> CheckReport:
     rng = Random(seed)
     report = CheckReport("chain")
     for case in range(cases):
@@ -349,6 +338,17 @@ def chain_suite(ctx: FieldContext, seed: int, cases: int = 50) -> CheckReport:
     return report
 
 
+def _rank_grid(ctx: FieldContext, rng: Random, b: int, n: int, rows: int):
+    """Rows of (base point in K**b, n increments) for a directional rank."""
+    return [
+        (
+            random_integral_vector(ctx, rng, b),
+            tuple(random_increment(ctx, rng, 0, 2) for _ in range(n)),
+        )
+        for _ in range(rows)
+    ]
+
+
 def rank_suite(
     ctx: FieldContext, seed: int, rows: int = 18
 ) -> CheckReport:
@@ -359,13 +359,7 @@ def rank_suite(
         for n in (1, 2):
             bound = rank_bound(b, n)
             for f in corpus:
-                grid = [
-                    (
-                        random_integral_vector(ctx, rng, b),
-                        tuple(random_increment(ctx, rng, 0, 2) for _ in range(n)),
-                    )
-                    for _ in range(rows)
-                ]
+                grid = _rank_grid(ctx, rng, b, n, rows)
                 r = _attempt(report, lambda: directional_span_rank(f, n, b, grid))
                 if r is None:
                     continue
@@ -378,44 +372,25 @@ def rank_suite(
 
 
 def rank_of(ctx: FieldContext, f: FunctionExpr, b: int, n: int, seed: int, rows: int = 18):
-    rng = Random(seed)
-    grid = [
-        (
-            random_integral_vector(ctx, rng, b),
-            tuple(random_increment(ctx, rng, 0, 2) for _ in range(n)),
-        )
-        for _ in range(rows)
-    ]
-    return directional_span_rank(f, n, b, grid)
+    return directional_span_rank(f, n, b, _rank_grid(ctx, Random(seed), b, n, rows))
 
 
-_SUITE_RUNNERS = {
-    "leibniz": lambda ctx, seed, sizes, fault: leibniz_suite(
-        ctx, seed, cases=sizes.get("leibniz", 40), inject_fault=fault
-    ),
-    "scaling": lambda ctx, seed, sizes, fault: scaling_suite(
-        ctx, seed + 1, cases=sizes.get("scaling", 40)
-    ),
-    "symmetry": lambda ctx, seed, sizes, fault: symmetry_suite(
-        ctx, seed + 2, cases=sizes.get("symmetry", 40)
-    ),
-    "closed_form": lambda ctx, seed, sizes, fault: closed_form_suite(
-        ctx,
-        seed + 3,
-        phi_cases=sizes.get("closed_form", 80),
-        upsilon_cases=sizes.get("closed_form_upsilon", 40),
-    ),
-    "restriction": lambda ctx, seed, sizes, fault: restriction_suite(
-        ctx, seed + 4, cases=sizes.get("restriction", 40)
-    ),
-    "rank": lambda ctx, seed, sizes, fault: rank_suite(ctx, seed + 5),
-    "sup_bound": lambda ctx, seed, sizes, fault: sup_bound_suite(
-        ctx, seed + 6, samples_total=sizes.get("sup_bound", 400)
-    ),
-    "chain": lambda ctx, seed, sizes, fault: chain_suite(
-        ctx, seed + 7, cases=sizes.get("chain", 30)
-    ),
+# Each check's seed offset and its suite's case counts: the verify.cases
+# keys it reads, in the order the suite takes them, with their defaults.
+# A check runs the module's ``<check>_suite``, looked up by name when it
+# runs, so that a wrapper installed on the module (a profiler's) runs.
+_SUITES = {
+    "leibniz": (0, {"leibniz": 40}),
+    "scaling": (1, {"scaling": 40}),
+    "symmetry": (2, {"symmetry": 40}),
+    "closed_form": (3, {"closed_form": 80, "closed_form_upsilon": 40}),
+    "restriction": (4, {"restriction": 40}),
+    "rank": (5, {}),
+    "sup_bound": (6, {"sup_bound": 400}),
+    "chain": (7, {"chain": 30}),
 }
+ALL_CHECKS = tuple(_SUITES)
+CASE_DEFAULTS = {key: n for _, counts in _SUITES.values() for key, n in counts.items()}
 
 
 def run_checks(
@@ -425,13 +400,17 @@ def run_checks(
     sizes: dict | None = None,
     inject_fault: bool = False,
 ) -> dict:
-    """Run the selected identity suites and gather their reports."""
-    sizes = sizes or {}
+    """Run the selected identity suites; a case count not in ``sizes`` is
+    taken from ``CASE_DEFAULTS``."""
+    sizes = {**CASE_DEFAULTS, **(sizes or {})}
     selected = list(checks) if checks else list(ALL_CHECKS)
-    unknown = [c for c in selected if c not in _SUITE_RUNNERS]
+    unknown = [c for c in selected if c not in _SUITES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     reports = {}
     for name in selected:
-        reports[name] = _SUITE_RUNNERS[name](ctx, seed, sizes, inject_fault)
+        offset, counts = _SUITES[name]
+        fault = {"inject_fault": inject_fault} if name == "leibniz" else {}
+        suite = globals()[f"{name}_suite"]
+        reports[name] = suite(ctx, seed + offset, *(sizes[k] for k in counts), **fault)
     return reports

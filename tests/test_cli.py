@@ -1,12 +1,18 @@
 """CLI: config validation, exit codes, deterministic reports."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultracalc.cli import main
 from ultracalc.errors import ConfigError
@@ -434,3 +440,158 @@ def test_probe_section_defaults_come_from_probe_config(tmp_path):
         if knob.name not in ("region", "seed"):
             assert echoed[knob.name] == knob.default, knob.name
     assert echoed["order"] == 1
+
+
+def _with(cfg, path, value):
+    """A deep copy of ``cfg`` with the key at ``path`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return cfg
+
+
+SMALL_VERIFY = {
+    "schema": 1,
+    "suite": "verify",
+    "prime": 5,
+    "seed": 7,
+    "verify": {"checks": ["rank", "leibniz"], "cases": {"leibniz": 1}},
+}
+SMALL_THM41 = {
+    "schema": 1,
+    "suite": "gallery",
+    "prime": 5,
+    "gallery": {"name": "thm41", "k_max": 2, "flatness_curves": 1},
+}
+SMALL_PATCHWORK = {
+    "schema": 1,
+    "suite": "gallery",
+    "prime": 5,
+    "gallery": {"name": "patchwork", "depth": 2},
+}
+SMALL_PROBE = _probe_cfg(THM41, {"order": 0, "center": [0, 0], "samples": 1})
+
+# Configs the program misread before it had one schema: each raised a
+# traceback, ran something other than what it says, or rejected a list
+# of check names one character at a time.  Each case: the valid config,
+# the key to set, its value and what the one-line message must say.
+MISREAD = {
+    "precision-0": (SMALL_VERIFY, ("precision",), 0, "config.precision must be at least 1"),
+    "seed-str": (SMALL_VERIFY, ("seed",), "x", "config.seed must be int"),
+    "verify-list": (SMALL_VERIFY, ("verify",), [], "config.verify must be dict"),
+    "cases-str": (
+        SMALL_VERIFY, ("verify", "cases", "leibniz"), "5", "verify.cases.leibniz must be int"
+    ),
+    "depth-str": (SMALL_PATCHWORK, ("gallery", "depth"), "x", "gallery.depth must be int"),
+    "depth-0": (SMALL_PATCHWORK, ("gallery", "depth"), 0, "gallery.depth must be at least 1"),
+    "k_max-0": (SMALL_THM41, ("gallery", "k_max"), 0, "gallery.k_max must be at least 1"),
+    "m-0": (SMALL_THM41, ("gallery", "m"), 0, "gallery.m must be at least 1"),
+    "poly-without-polynomial": (
+        SMALL_PROBE, ("function",), {"kind": "poly"}, "'poly' needs keys ['polynomial']"
+    ),
+    "sum-without-parts": (
+        SMALL_PROBE, ("function",), {"kind": "sum"}, "'sum' needs keys ['parts']"
+    ),
+    "precision-float": (SMALL_VERIFY, ("precision",), 32.7, "config.precision must be int"),
+    "prime-float": (SMALL_VERIFY, ("prime",), 5.5, "config.prime must be int"),
+    "inject_fault-str": (
+        SMALL_VERIFY, ("verify", "inject_fault"), "no", "verify.inject_fault must be bool"
+    ),
+    "cases-typo": (
+        SMALL_VERIFY,
+        ("verify", "cases", "leibnitz"),
+        5,
+        "unknown keys in verify.cases: ['leibnitz']",
+    ),
+    "cases-rank": (
+        SMALL_VERIFY, ("verify", "cases", "rank"), 3, "unknown keys in verify.cases: ['rank']"
+    ),
+    "thm41-depth": (SMALL_THM41, ("gallery", "depth"), 5, "unknown keys in gallery: ['depth']"),
+    "cases-negative": (
+        SMALL_VERIFY, ("verify", "cases", "leibniz"), -3, "verify.cases.leibniz must be at least 1"
+    ),
+    "flatness_curves-0": (
+        SMALL_THM41, ("gallery", "flatness_curves"), 0, "gallery.flatness_curves must be at least 1"
+    ),
+    "checks-str": (SMALL_VERIFY, ("verify", "checks"), "leibniz", "verify.checks must be list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISREAD))
+def test_misread_configs_exit_two_with_one_line(tmp_path, capsys, case):
+    base, key, value, message = MISREAD[case]
+    cfg = _with(base, key, value)
+    out = tmp_path / "out"
+    path = write(tmp_path, "cfg.json", cfg)
+    assert main([cfg["suite"], "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_undecided_verify_run_exits_one(tmp_path):
+    # At precision 4 some leibniz samples run out of digits: the check
+    # decides none of them, so neither it nor the run has passed.
+    cfg = {
+        "schema": 1,
+        "suite": "verify",
+        "prime": 5,
+        "backend": "digits",
+        "precision": 4,
+        "seed": 7,
+        "verify": {"checks": ["leibniz"], "cases": {"leibniz": 50}},
+    }
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "verify_report.json").read_text())
+    leibniz = report["checks"]["leibniz"]
+    assert leibniz["failures"] == [] and leibniz["indeterminate"] > 0
+    assert leibniz["passed"] is False
+    assert report["failures"] == 0 and report["passed"] is False
+
+
+FUZZ_BASES = {"verify": SMALL_VERIFY, "probe": SMALL_PROBE, "gallery": SMALL_THM41}
+# Small numbers only: a valid count runs, and the run time grows fast
+# with some of them (the thm41 gallery item takes seconds at m = 2).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _key_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_configs_exit_cleanly(data):
+    # One key of a small valid config takes a random JSON value, or an
+    # unknown key joins its section: the run ends in an exit code.
+    command = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    base = FUZZ_BASES[command]
+    path = data.draw(st.sampled_from(list(_key_paths(base))))
+    if data.draw(st.booleans()):
+        cfg = _with(base, path, data.draw(JSON_VALUES))
+    else:
+        cfg = _with(base, path[:-1] + ("unknown-" + data.draw(st.text(max_size=4)),), 1)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        rc = main([command, "--config", config, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 from ultracalc.engine import (
+    CheckReport,
     PhiPoint,
     UpsilonPoint,
     chain_phi_low,
@@ -454,6 +455,14 @@ def test_scaling_identities_polynomial():
     pt = phi_point(2, [3], [5])
     rep = scaling_identity_check(SQUARE, pt, CTX.scalar(5), CTX.scalar(25))
     assert rep.passed
+
+
+def test_check_report_without_samples_has_not_passed():
+    # A check that sampled nothing has shown nothing: no vacuous pass.
+    report = CheckReport("empty")
+    assert not report.passed and report.to_json()["passed"] is False
+    report.merge(CheckReport("one", samples=1))
+    assert report.passed
 
 
 def test_scaling_identity_unit_factor_trivial():

@@ -3,7 +3,7 @@
 import pytest
 
 from ultracalc.field import FieldContext, Prime
-from ultracalc.verify import ALL_CHECKS, run_checks, scaling_suite
+from ultracalc.verify import ALL_CHECKS, CASE_DEFAULTS, run_checks, scaling_suite
 
 EX = FieldContext(Prime(5))
 TD = FieldContext(Prime(5), backend="digits", precision=32)
@@ -40,6 +40,14 @@ def test_check_selection_and_unknown_names():
     assert list(reports) == ["leibniz"]
     with pytest.raises(ValueError):
         run_checks(EX, seed=1, checks=["nope"])
+
+
+def test_missing_sizes_come_from_the_defaults_table():
+    reports = run_checks(EX, seed=1, checks=["chain", "closed_form"], sizes={"chain": 3})
+    assert reports["chain"].samples == 2 * 3
+    assert reports["closed_form"].samples == (
+        CASE_DEFAULTS["closed_form"] + CASE_DEFAULTS["closed_form_upsilon"]
+    )
 
 
 def test_fault_injection_is_detected():
