@@ -41,12 +41,13 @@ from .verify import ALL_CHECKS, CASE_DEFAULTS, random_integral_vector, run_check
 
 # The config schema: every key of every section, as ``key: (type,
 # default, minimum)`` for ``functions.check_section``; a count is at
-# least 1.  A default that code elsewhere also uses is taken from there:
-# the field context's, ProbeConfig's fields (the probe section spells
-# the region as a center and a radius exponent and takes its seed from
-# the run), verify's case counts and the gallery builders' parameters;
-# thm41 adds the sizes of its checks.  A function given as a gallery
-# item names it and its parameters.
+# least 1, and a list of checks names at least one (only an absent list
+# means all of them).  A default that code elsewhere also uses is taken
+# from there: the field context's, ProbeConfig's fields (the probe
+# section spells the region as a center and a radius exponent and takes
+# its seed from the run), verify's case counts and the gallery builders'
+# parameters; thm41 adds the sizes of its checks.  A function given as a
+# gallery item names it and its parameters.
 SCHEMA = {
     "config": {
         "schema": (int, 1, None),
@@ -61,7 +62,7 @@ SCHEMA = {
         "function": (dict, None, None),
     },
     "verify": {
-        "checks": (list, None, None),
+        "checks": (list, None, 1),
         "cases": (dict, {}, None),
         "inject_fault": (bool, False, None),
     },
@@ -247,6 +248,9 @@ def _probe_job(ctx: FieldContext, settings: dict, seed: int):
     center = knobs.pop("center")
     if center is None:
         center = [0] * f.input_dim
+    # Exact numbers only: a float or a bool would be read as a rational.
+    if any(type(c) not in (int, str) for c in center):
+        raise ConfigError(f"probe.center takes ints and rational strings, got {center!r}")
     if len(center) != f.input_dim:
         raise ConfigError(f"probe.center must be a list of {f.input_dim} numbers")
     region = Ball(ctx.vector([Fraction(c) for c in center]), knobs.pop("radius_exponent"))

@@ -26,7 +26,10 @@ class MultiPolynomial:
 
     Terms map an exponent multi-index (length m) to a coefficient
     vector (dimension l).  Zero coefficients are dropped on
-    construction and evaluation is exact in the rational backend.
+    construction and evaluation is exact in the rational backend.  On
+    its first exact evaluation the polynomial lowers itself, once, to
+    integer coefficients over one common denominator per output
+    coordinate (``_lower``).
     """
 
     def __init__(self, m: int, l: int, terms: Mapping[tuple, PadicVector]):
@@ -46,6 +49,7 @@ class MultiPolynomial:
         self.m = m
         self.l = l
         self.terms = dict(sorted(clean.items()))
+        self._lowered = None
 
     @classmethod
     def univariate(cls, coeffs: Sequence[PadicVector]) -> "MultiPolynomial":
@@ -72,11 +76,52 @@ class MultiPolynomial:
         return max(c.norm() for c in self.terms.values())
 
     def evaluate(self, x: PadicVector) -> PadicVector:
-        """Value at x by Horner's rule, nested one variable at a time."""
+        """Value at x by Horner's rule, nested one variable at a time.
+
+        The digit backend steps through scalars, so that every step
+        tracks its absolute precision.  The exact backend runs the same
+        rule on Python ints and builds one Fraction per coordinate.
+        """
         if x.dim != self.m:
             raise DimensionMismatch(f"expected dim {self.m}, got {x.dim}")
         ctx = x.entries[0].context()
-        return self._horner(x, 0, self.terms, ctx)
+        if ctx.backend == "digits":
+            return self._horner(x, 0, self.terms, ctx)
+        lowered = self._lowered
+        if lowered is None or lowered[0] != ctx.prime.p:
+            lowered = self._lowered = self._lower(ctx)
+        _, degrees, coords = lowered
+        nums = [e.value.numerator for e in x.entries]
+        dens = [e.value.denominator for e in x.entries]
+        scale = math.prod(d**k for d, k in zip(dens, degrees))
+        return PadicVector(
+            [
+                ctx.scalar(Fraction(_horner_ints(layers, 0, nums, dens, degrees), den * scale))
+                for den, layers in coords
+            ]
+        )
+
+    def _lower(self, ctx: FieldContext) -> tuple:
+        """The integer form of the exact evaluation at points of ``ctx``.
+
+        Returns ``(p, degrees, coords)``: ``degrees[i]`` is the highest
+        exponent of x_i, and ``coords[r]`` is ``(den, layers)`` with the
+        r-th coordinate's coefficients written as ints over their common
+        denominator ``den``, grouped for ``_horner_ints``.  A coefficient
+        of another prime or backend raises what adding it to a scalar of
+        ``ctx`` raises, for the first such term in Horner's order.
+        """
+        zero = ctx.zero()
+        for c in reversed(self.terms.values()):
+            zero._coerce(c[0])
+        degrees = [max((e[i] for e in self.terms), default=0) for i in range(self.m)]
+        coords = []
+        for r in range(self.l):
+            column = {e: c[r].value for e, c in self.terms.items() if c[r].value}
+            den = math.lcm(*(v.denominator for v in column.values()))
+            ints = {e: v.numerator * (den // v.denominator) for e, v in column.items()}
+            coords.append((den, _nest(ints, 0, self.m)))
+        return ctx.prime.p, degrees, coords
 
     def _horner(self, x, axis, terms, ctx):
         if not terms:
@@ -153,6 +198,38 @@ class MultiPolynomial:
 
     def __repr__(self) -> str:
         return f"MultiPolynomial(m={self.m}, l={self.l}, terms={len(self.terms)})"
+
+
+def _nest(terms: dict, axis: int, m: int):
+    """Int coefficients grouped for Horner's rule: ``(k, inner)`` pairs
+    by falling exponent k of x[axis], where ``inner`` groups the terms
+    of that exponent over the next axis, and is the coefficient itself
+    after the last axis."""
+    if axis == m:
+        (value,) = terms.values()
+        return value
+    layers = {}
+    for e, n in terms.items():
+        layers.setdefault(e[axis], {})[e] = n
+    return [(k, _nest(layers[k], axis + 1, m)) for k in sorted(layers, reverse=True)]
+
+
+def _horner_ints(layers, axis: int, nums, dens, degrees) -> int:
+    """Horner's rule on ints, homogenised by powers of the denominators.
+
+    With x_i = nums[i]/dens[i], the polynomial grouped in ``layers`` is
+    this int over the product of dens[i]**degrees[i]: a layer of
+    exponent k of x[axis] is weighted by a**k * d**(degrees[axis] - k).
+    """
+    a, d, deg = nums[axis], dens[axis], degrees[axis]
+    last = axis == len(nums) - 1
+    acc, top = 0, deg
+    for k, inner in layers:
+        if not last:
+            inner = _horner_ints(inner, axis + 1, nums, dens, degrees)
+        acc = acc * a ** (top - k) + inner * d ** (deg - k)
+        top = k
+    return acc * a**top
 
 
 class FunctionExpr:
@@ -471,8 +548,9 @@ def check_section(section, schema: Mapping[str, tuple], where: str) -> dict:
     """``section`` checked against ``schema``, with every default filled in.
 
     ``schema`` maps each key a section may hold to ``(type, default,
-    minimum)``: a value must be of that type, and at least the minimum
-    unless that is None.  A key that is absent reads its default.
+    minimum)``: a given value must be of that type, and at least the
+    minimum unless that is None; a list's minimum bounds its length.  A
+    key that is absent reads its default.
     """
     if type(section) is not dict:
         raise ConfigError(f"{where} must be an object, got {section!r}")
@@ -482,10 +560,13 @@ def check_section(section, schema: Mapping[str, tuple], where: str) -> dict:
     checked = {}
     for key, (want, default, minimum) in schema.items():
         value = checked[key] = section.get(key, default)
-        if key in section and type(value) is not want:
+        if key not in section:
+            continue
+        if type(value) is not want:
             raise ConfigError(f"{where}.{key} must be {want.__name__}, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{where}.{key} must be at least {minimum}, got {value!r}")
+        size, what = (len(value), "have length") if want is list else (value, "be")
+        if minimum is not None and size < minimum:
+            raise ConfigError(f"{where}.{key} must {what} at least {minimum}, got {value!r}")
     return checked
 
 

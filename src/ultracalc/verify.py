@@ -400,10 +400,12 @@ def run_checks(
     sizes: dict | None = None,
     inject_fault: bool = False,
 ) -> dict:
-    """Run the selected identity suites; a case count not in ``sizes`` is
-    taken from ``CASE_DEFAULTS``."""
+    """Run the selected identity suites, all of them when ``checks`` is
+    None; a case count not in ``sizes`` is taken from ``CASE_DEFAULTS``."""
     sizes = {**CASE_DEFAULTS, **(sizes or {})}
-    selected = list(checks) if checks else list(ALL_CHECKS)
+    selected = list(ALL_CHECKS if checks is None else checks)
+    if not selected:
+        raise ValueError("no checks selected")
     unknown = [c for c in selected if c not in _SUITES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")

@@ -442,6 +442,15 @@ def test_probe_section_defaults_come_from_probe_config(tmp_path):
     assert echoed["order"] == 1
 
 
+def test_probe_center_takes_rational_strings(tmp_path):
+    out = tmp_path / "out"
+    probe = {"order": 0, "center": ["1/5"], "samples": 1}
+    cfg = write(tmp_path, "cfg.json", _probe_cfg(CUBIC, probe))
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    region = json.loads((out / "probe_report.json").read_text())["report"]["config"]["region"]
+    assert region["center"] == [{"p": 5, "num": "1", "den": "5"}]
+
+
 def _with(cfg, path, value):
     """A deep copy of ``cfg`` with the key at ``path`` set to ``value``."""
     cfg = copy.deepcopy(cfg)
@@ -516,6 +525,15 @@ MISREAD = {
         SMALL_THM41, ("gallery", "flatness_curves"), 0, "gallery.flatness_curves must be at least 1"
     ),
     "checks-str": (SMALL_VERIFY, ("verify", "checks"), "leibniz", "verify.checks must be list"),
+    "checks-empty": (
+        SMALL_VERIFY, ("verify", "checks"), [], "verify.checks must have length at least 1"
+    ),
+    "center-float": (
+        SMALL_PROBE, ("probe", "center"), [0.1], "probe.center takes ints and rational strings"
+    ),
+    "center-bool": (
+        SMALL_PROBE, ("probe", "center"), [True], "probe.center takes ints and rational strings"
+    ),
 }
 
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ultracalc.errors import DimensionMismatch, DomainError
+from ultracalc.errors import BackendMismatch, DimensionMismatch, DomainError, PrimeMismatch
 from ultracalc.field import Ball, FieldContext, Prime
 from ultracalc.functions import (
     AffinePrecompose,
@@ -125,6 +127,58 @@ def test_tree_eval_matches_horner():
                 [Fraction(rng.randrange(-20, 20), rng.choice((1, 3, 5))) for _ in range(m)]
             )
             assert poly.evaluate(x) == _monomial_sum(poly, x)
+
+
+# Rationals with 5 in the numerator or the denominator, and zero.
+RATIONALS = st.builds(
+    lambda n, d, v: Fraction(n, d) * Fraction(5) ** v,
+    st.integers(-30, 30),
+    st.sampled_from((1, 2, 3, 7)),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def exact_polynomials(draw):
+    """A polynomial of 1-3 variables and 1-2 coordinates, possibly with
+    no terms or with a coordinate that is zero in every term."""
+    m = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 2))
+    zero_coord = draw(st.sampled_from((None, *range(l))))
+    terms = {}
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=6)):
+        coeff = [draw(RATIONALS) for _ in range(l)]
+        if zero_coord is not None:
+            coeff[zero_coord] = 0
+        terms[e] = CTX.vector(coeff)
+    return MultiPolynomial(m, l, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=exact_polynomials(), data=st.data())
+def test_exact_evaluate_matches_monomial_sum(poly, data):
+    # Two points: the second evaluation reuses the integer form.
+    for _ in range(2):
+        x = CTX.vector(data.draw(st.lists(RATIONALS, min_size=poly.m, max_size=poly.m)))
+        value = poly.evaluate(x)
+        assert [e.value for e in value] == [e.value for e in _monomial_sum(poly, x)]
+        assert all(e.context() is CTX for e in value)
+
+
+def test_exact_evaluate_rejects_coefficients_of_another_prime_or_backend():
+    seven = FieldContext(Prime(7))
+    other_prime = MultiPolynomial.univariate([seven.vector([1]), seven.vector([2])])
+    assert other_prime.evaluate(seven.vector([3])).scalar() == 7
+    with pytest.raises(PrimeMismatch):
+        other_prime.evaluate(CTX.vector([3]))
+    digits = FieldContext(Prime(5), backend="digits")
+    digit_coeffs = MultiPolynomial.univariate([digits.vector([1]), digits.vector([2])])
+    with pytest.raises(BackendMismatch):
+        digit_coeffs.evaluate(CTX.vector([3]))
+    # Horner's rule meets the highest power first: here the digit one.
+    mixed = MultiPolynomial.univariate([seven.vector([1]), digits.vector([2])])
+    with pytest.raises(BackendMismatch):
+        mixed.evaluate(CTX.vector([3]))
 
 
 def test_locally_constant_stability_radius():

@@ -40,6 +40,9 @@ def test_check_selection_and_unknown_names():
     assert list(reports) == ["leibniz"]
     with pytest.raises(ValueError):
         run_checks(EX, seed=1, checks=["nope"])
+    # Only None selects every check; an empty selection is an error.
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_checks(EX, seed=1, checks=[])
 
 
 def test_missing_sizes_come_from_the_defaults_table():
