@@ -178,15 +178,29 @@ class UpsilonPoint:
 # -- evaluators ----------------------------------------------------------------
 
 
+def _zero_increment(message: str, *ts: PadicScalar) -> Exception:
+    """The error for a quotient asked for at increments ``ts``, one of them zero.
+
+    An exact zero is outside the quotient's domain: ``ZeroIncrement``.
+    An apparent zero O(p^k) of the digit backend may be a nonzero
+    increment whose digits fell below working precision, so it decides
+    nothing: ``PrecisionExhausted``, which makes the sample indeterminate.
+    """
+    if any(t.valuation() == INF for t in ts):
+        return ZeroIncrement(message)
+    return PrecisionExhausted(f"{message}; the increment is zero only to working precision")
+
+
 def phi(f: FunctionExpr, pt: PhiPoint) -> PadicVector:
     """Order-n partial difference quotient, by the defining recursion."""
     if pt.order == 0:
         return f.evaluate(pt.x)
     t = pt.ts[-1]
     if t.is_zero():
-        raise ZeroIncrement(
+        raise _zero_increment(
             "partial quotient needs nonzero increments; use a closed form "
-            "or a limit probe for the extension"
+            "or a limit probe for the extension",
+            t,
         )
     return (phi(f, pt.shifted()) - phi(f, pt.drop_last())) / t
 
@@ -196,7 +210,7 @@ def upsilon(f: FunctionExpr, pt: UpsilonPoint) -> PadicVector:
     if pt.order == 0:
         return f.evaluate(pt.point)
     if pt.t.is_zero():
-        raise ZeroIncrement("full quotient needs nonzero increments")
+        raise _zero_increment("full quotient needs nonzero increments", pt.t)
     moved = pt.base.add_scaled(pt.disp, pt.t)
     return (upsilon(f, moved) - upsilon(f, pt.base)) / pt.t
 
@@ -472,17 +486,15 @@ def _coordinate_quotient(
     f: FunctionExpr, z: PadicVector, j: int, tau: PadicScalar
 ) -> PadicVector:
     """First quotient of f in coordinate j, extended through tau = 0."""
-    if not tau.is_zero():
-        ctx = z.entries[0].context()
-        step = PadicVector(
-            [tau if i == j else ctx.zero() for i in range(z.dim)]
+    if tau.is_zero():
+        if isinstance(f, Poly):
+            return f.polynomial.first_quotient_coord(z, j, tau)
+        raise _zero_increment(
+            "coordinate quotient at zero increment needs a polynomial node", tau
         )
-        return (f.evaluate(z + step) - f.evaluate(z)) / tau
-    if isinstance(f, Poly):
-        return f.polynomial.first_quotient_coord(z, j, tau)
-    raise ZeroIncrement(
-        "coordinate quotient at zero increment needs a polynomial node"
-    )
+    ctx = z.entries[0].context()
+    step = PadicVector([tau if i == j else ctx.zero() for i in range(z.dim)])
+    return (f.evaluate(z + step) - f.evaluate(z)) / tau
 
 
 def _splice(a: PadicVector, b: PadicVector, j: int) -> PadicVector:
@@ -519,7 +531,7 @@ def _chain_order1(f: FunctionExpr, u: Curve, pt: PhiPoint) -> PadicVector:
     v = pt.vs[0].scalar()
     t = pt.ts[0]
     if t.is_zero():
-        raise ZeroIncrement("composition rule needs a nonzero increment")
+        raise _zero_increment("composition rule needs a nonzero increment", t)
     uy = u.at(y)
     uyt = u.at(y + v * t)
     m = uy.dim
@@ -539,7 +551,7 @@ def _chain_order2(f: FunctionExpr, u: Curve, pt: PhiPoint) -> PadicVector:
     v1, v2 = (v.scalar() for v in pt.vs)
     t1, t2 = pt.ts
     if t1.is_zero() or t2.is_zero():
-        raise ZeroIncrement("composition rule needs nonzero increments")
+        raise _zero_increment("composition rule needs nonzero increments", t1, t2)
     m = u.output_dim
 
     def curve_quotient(j: int, at: PadicScalar) -> PadicScalar:

@@ -279,6 +279,74 @@ class ExactScalar(PadicScalar):
         return f"Qp({self.value}; p={self.prime.p})"
 
 
+# -- capped-absolute rules ------------------------------------------------------
+#
+# The digit backend's normalise, add and multiply rules, on plain
+# ``(val, unit, abs_prec, exact)`` tuples: the fields of a DigitScalar.
+# The DigitScalar methods wrap them, and polynomial evaluation runs them
+# directly, so the bookkeeping exists once.
+
+_EXACT_ZERO = (None, 0, INF, True)
+
+
+def _apparent_zero(abs_prec) -> tuple:
+    if abs_prec <= 0:
+        raise PrecisionExhausted("no significant digits remain")
+    return (None, 0, abs_prec, False)
+
+
+def _normalise(p: int, val: int, unit: int, abs_prec, exact: bool = False) -> tuple:
+    """``p**val * unit`` modulo ``p**abs_prec``; ``exact`` is cleared
+    whenever the reduction changes the unit."""
+    if abs_prec <= 0:
+        raise PrecisionExhausted("absolute precision marker reached zero")
+    room = abs_prec - val
+    if room <= 0:
+        return _apparent_zero(abs_prec)
+    reduced = unit % p**room
+    if reduced != unit:
+        exact = False
+    if not reduced:
+        return _EXACT_ZERO if exact else _apparent_zero(abs_prec)
+    while not reduced % p:
+        reduced //= p
+        val += 1
+    return (val, reduced, abs_prec, exact)
+
+
+def _add(p: int, a: tuple, b: tuple) -> tuple:
+    """The sum; an exact-zero operand returns the other one itself."""
+    aval, aunit, aprec, aexact = a
+    bval, bunit, bprec, bexact = b
+    if aval is None and aprec == INF:
+        return b
+    if bval is None and bprec == INF:
+        return a
+    prec = min(aprec, bprec)
+    if aval is None:
+        if bval is None:
+            return _apparent_zero(prec)
+        return _normalise(p, bval, bunit, prec)
+    if bval is None:
+        return _normalise(p, aval, aunit, prec)
+    v0 = min(aval, bval)
+    total = aunit * p ** (aval - v0) + bunit * p ** (bval - v0)
+    return _normalise(p, v0, total, prec, aexact and bexact)
+
+
+def _mul(p: int, a: tuple, b: tuple) -> tuple:
+    aval, aunit, aprec, aexact = a
+    bval, bunit, bprec, bexact = b
+    if (aval is None and aprec == INF) or (bval is None and bprec == INF):
+        return _EXACT_ZERO
+    va = aprec if aval is None else aval
+    vb = bprec if bval is None else bval
+    prec = min(va + bprec, vb + aprec)
+    if aval is None or bval is None:
+        return _apparent_zero(prec)
+    return _normalise(p, va + vb, aunit * bunit, prec, aexact and bexact)
+
+
 class DigitScalar(PadicScalar):
     """A p-adic number known modulo ``p**abs_prec``.
 
@@ -307,13 +375,11 @@ class DigitScalar(PadicScalar):
     # -- construction ------------------------------------------------------
     @classmethod
     def exact_zero(cls, ctx: "FieldContext") -> "DigitScalar":
-        return cls(ctx, None, 0, INF, exact=True)
+        return cls(ctx, *_EXACT_ZERO)
 
     @classmethod
     def apparent_zero(cls, ctx: "FieldContext", abs_prec: int) -> "DigitScalar":
-        if abs_prec <= 0:
-            raise PrecisionExhausted("no significant digits remain")
-        return cls(ctx, None, 0, abs_prec)
+        return cls(ctx, *_apparent_zero(abs_prec))
 
     @classmethod
     def make(
@@ -324,23 +390,12 @@ class DigitScalar(PadicScalar):
         ``exact`` asserts that p**val * unit is the true value; it is
         cleared automatically whenever the reduction changes the unit.
         """
-        if abs_prec <= 0:
-            raise PrecisionExhausted("absolute precision marker reached zero")
-        room = abs_prec - val
-        if room <= 0:
-            return cls.apparent_zero(ctx, abs_prec)
-        p = ctx.prime.p
-        reduced = unit % p**room
-        if reduced != unit:
-            exact = False
-        if not reduced:
-            if exact:
-                return cls.exact_zero(ctx)
-            return cls.apparent_zero(ctx, abs_prec)
-        while not reduced % p:
-            reduced //= p
-            val += 1
-        return cls(ctx, val, reduced, abs_prec, exact)
+        return cls(ctx, *_normalise(ctx.prime.p, val, unit, abs_prec, exact))
+
+    def _state(self) -> tuple:
+        """``(val, unit, abs_prec, exact_digits)``, the form the
+        capped-absolute rules take."""
+        return (self.val, self.unit, self.abs_prec, self.exact_digits)
 
     @classmethod
     def from_fraction(cls, ctx: "FieldContext", value: RationalLike) -> "DigitScalar":
@@ -359,7 +414,9 @@ class DigitScalar(PadicScalar):
         num = value.numerator // p**vn
         den = value.denominator // p**vd
         terminating = value > 0 and den == 1
-        unit = (num * pow(den, -1, modulus)) % modulus
+        # A terminating unit goes in whole, so that make clears the
+        # exactness of one that does not fit in the precision.
+        unit = num if terminating else (num * pow(den, -1, modulus)) % modulus
         return cls.make(ctx, v, unit, abs_prec, exact=terminating)
 
     # -- queries -----------------------------------------------------------
@@ -424,23 +481,13 @@ class DigitScalar(PadicScalar):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_exact_zero():
+        a, b = self._state(), other._state()
+        total = _add(self.ctx.prime.p, a, b)
+        if total is b:
             return other
-        if other.is_exact_zero():
+        if total is a:
             return self
-        prec = min(self.abs_prec, other.abs_prec)
-        ctx = self.ctx
-        if self.val is None:
-            if other.val is None:
-                return DigitScalar.apparent_zero(ctx, prec)
-            return DigitScalar.make(ctx, other.val, other.unit, prec)
-        if other.val is None:
-            return DigitScalar.make(ctx, self.val, self.unit, prec)
-        exact = self.exact_digits and other.exact_digits
-        p = ctx.prime.p
-        v0 = min(self.val, other.val)
-        total = self.unit * p ** (self.val - v0) + other.unit * p ** (other.val - v0)
-        return DigitScalar.make(ctx, v0, total, prec, exact=exact)
+        return DigitScalar(self.ctx, *total)
 
     def __neg__(self):
         if self.val is None:
@@ -455,19 +502,8 @@ class DigitScalar(PadicScalar):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_exact_zero() or other.is_exact_zero():
-            return DigitScalar.exact_zero(self.ctx)
-        va = self.valuation()
-        vb = other.valuation()
-        prec = min(va + other.abs_prec, vb + self.abs_prec)
-        if self.val is None or other.val is None:
-            return DigitScalar.apparent_zero(self.ctx, prec)
-        return DigitScalar.make(
-            self.ctx,
-            va + vb,
-            self.unit * other.unit,
-            prec,
-            exact=self.exact_digits and other.exact_digits,
+        return DigitScalar(
+            self.ctx, *_mul(self.ctx.prime.p, self._state(), other._state())
         )
 
     def __truediv__(self, other):
@@ -545,10 +581,14 @@ class PadicVector:
         if not entries:
             raise ValueError("vectors must have at least one entry")
         first = entries[0]
+        ctx, kind = first.ctx, type(first)
         for e in entries[1:]:
-            if e.prime != first.prime:
+            # Entries of one context share its prime: no Prime comparison.
+            if e.ctx is ctx and type(e) is kind:
+                continue
+            if e.ctx.prime != ctx.prime:
                 raise PrimeMismatch("mixed primes in vector")
-            if type(e) is not type(first):
+            if type(e) is not kind:
                 raise BackendMismatch("mixed backends in vector")
         self.entries = entries
 

@@ -18,7 +18,16 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, DimensionMismatch, DomainError
-from .field import Ball, FieldContext, PadicScalar, PadicVector
+from .field import (
+    _EXACT_ZERO,
+    Ball,
+    DigitScalar,
+    FieldContext,
+    PadicScalar,
+    PadicVector,
+    _add,
+    _mul,
+)
 
 
 class MultiPolynomial:
@@ -27,9 +36,10 @@ class MultiPolynomial:
     Terms map an exponent multi-index (length m) to a coefficient
     vector (dimension l).  Zero coefficients are dropped on
     construction and evaluation is exact in the rational backend.  On
-    its first exact evaluation the polynomial lowers itself, once, to
+    its first evaluation at a prime and backend the polynomial lowers
+    itself, once, to the form Horner's rule runs on (``_lower``):
     integer coefficients over one common denominator per output
-    coordinate (``_lower``).
+    coordinate, or the states of its digit coefficients.
     """
 
     def __init__(self, m: int, l: int, terms: Mapping[tuple, PadicVector]):
@@ -78,19 +88,24 @@ class MultiPolynomial:
     def evaluate(self, x: PadicVector) -> PadicVector:
         """Value at x by Horner's rule, nested one variable at a time.
 
-        The digit backend steps through scalars, so that every step
-        tracks its absolute precision.  The exact backend runs the same
-        rule on Python ints and builds one Fraction per coordinate.
+        Both backends run the rule on the polynomial's lowered form
+        (``_lower``) and build one scalar per output coordinate.  The
+        exact backend runs it on Python ints; the digit backend on
+        ``(val, unit, abs_prec, exact)`` tuples with the DigitScalar
+        precision rules, step for step as scalar arithmetic would.
         """
         if x.dim != self.m:
             raise DimensionMismatch(f"expected dim {self.m}, got {x.dim}")
         ctx = x.entries[0].context()
-        if ctx.backend == "digits":
-            return self._horner(x, 0, self.terms, ctx)
         lowered = self._lowered
-        if lowered is None or lowered[0] != ctx.prime.p:
+        if lowered is None or lowered[0] != (ctx.prime.p, ctx.backend):
             lowered = self._lowered = self._lower(ctx)
-        _, degrees, coords = lowered
+        form = lowered[1]
+        if ctx.backend == "digits":
+            xs = [e._state() for e in x.entries]
+            value = _horner_states(form, 0, xs, ctx.prime.p, self.l)
+            return PadicVector([DigitScalar(ctx, *s) for s in value])
+        degrees, coords = form
         nums = [e.value.numerator for e in x.entries]
         dens = [e.value.denominator for e in x.entries]
         scale = math.prod(d**k for d, k in zip(dens, degrees))
@@ -102,9 +117,11 @@ class MultiPolynomial:
         )
 
     def _lower(self, ctx: FieldContext) -> tuple:
-        """The integer form of the exact evaluation at points of ``ctx``.
+        """The form Horner's rule runs on at points of ``ctx``.
 
-        Returns ``(p, degrees, coords)``: ``degrees[i]`` is the highest
+        Returns ``((p, backend), form)``.  For the digit backend ``form``
+        is ``_nest`` of the coefficient vectors' states.  For the exact
+        backend it is ``(degrees, coords)``: ``degrees[i]`` is the highest
         exponent of x_i, and ``coords[r]`` is ``(den, layers)`` with the
         r-th coordinate's coefficients written as ints over their common
         denominator ``den``, grouped for ``_horner_ints``.  A coefficient
@@ -114,6 +131,10 @@ class MultiPolynomial:
         zero = ctx.zero()
         for c in reversed(self.terms.values()):
             zero._coerce(c[0])
+        key = (ctx.prime.p, ctx.backend)
+        if ctx.backend == "digits":
+            states = {e: [s._state() for s in c] for e, c in self.terms.items()}
+            return key, _nest(states, 0, self.m)
         degrees = [max((e[i] for e in self.terms), default=0) for i in range(self.m)]
         coords = []
         for r in range(self.l):
@@ -121,27 +142,7 @@ class MultiPolynomial:
             den = math.lcm(*(v.denominator for v in column.values()))
             ints = {e: v.numerator * (den // v.denominator) for e, v in column.items()}
             coords.append((den, _nest(ints, 0, self.m)))
-        return ctx.prime.p, degrees, coords
-
-    def _horner(self, x, axis, terms, ctx):
-        if not terms:
-            return ctx.zero_vector(self.l)
-        # Group the terms by their exponent of x[axis], keeping their order.
-        layers = {}
-        for e, c in terms.items():
-            layers.setdefault(e[axis], {})[e] = c
-        acc = ctx.zero_vector(self.l)
-        for k in range(max(layers), -1, -1):
-            acc = acc * x[axis]
-            layer = layers.get(k)
-            if not layer:
-                continue
-            if axis == self.m - 1:
-                for c in layer.values():
-                    acc = acc + c
-            else:
-                acc = acc + self._horner(x, axis + 1, layer, ctx)
-        return acc
+        return key, (degrees, coords)
 
     def first_quotient_coord(
         self, z: PadicVector, j: int, tau: PadicScalar
@@ -201,7 +202,7 @@ class MultiPolynomial:
 
 
 def _nest(terms: dict, axis: int, m: int):
-    """Int coefficients grouped for Horner's rule: ``(k, inner)`` pairs
+    """Coefficients grouped for Horner's rule: ``(k, inner)`` pairs
     by falling exponent k of x[axis], where ``inner`` groups the terms
     of that exponent over the next axis, and is the coefficient itself
     after the last axis."""
@@ -230,6 +231,32 @@ def _horner_ints(layers, axis: int, nums, dens, degrees) -> int:
         acc = acc * a ** (top - k) + inner * d ** (deg - k)
         top = k
     return acc * a**top
+
+
+def _horner_states(layers, axis: int, xs, p: int, l: int) -> list:
+    """Horner's rule on the capped-absolute states of ``field``.
+
+    ``layers`` is ``_nest`` of coefficient vectors of l states, and
+    ``xs[i]`` is the state of x_i.  Between layers the accumulator is
+    multiplied by x[axis] once per exponent, coordinate by coordinate,
+    as the scalar rule does: every marker is the scalar path's, and
+    ``PrecisionExhausted`` comes from the same step.  Steps on the
+    initial exact zero are skipped, since they leave it unchanged.
+    """
+    x = xs[axis]
+    last = axis == len(xs) - 1
+    acc = [_EXACT_ZERO] * l
+    top = layers[0][0] if layers else 0
+    for k, inner in layers:
+        for _ in range(top - k):
+            acc = [_mul(p, a, x) for a in acc]
+        if not last:
+            inner = _horner_states(inner, axis + 1, xs, p, l)
+        acc = [_add(p, a, b) for a, b in zip(acc, inner)]
+        top = k
+    for _ in range(top):
+        acc = [_mul(p, a, x) for a in acc]
+    return acc
 
 
 class FunctionExpr:

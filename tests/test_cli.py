@@ -571,6 +571,24 @@ def test_undecided_verify_run_exits_one(tmp_path):
     assert report["failures"] == 0 and report["passed"] is False
 
 
+def test_increment_lost_to_precision_is_indeterminate_not_an_error(tmp_path, capsys):
+    # The README verify example at precision 4: some sup_bound
+    # increments t are nonzero but vanish to working precision, O(p^k).
+    # Those samples decide nothing; they used to end the run with exit 2.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    assert cfg["suite"] == "verify" and cfg["seed"] == 7
+    cfg.update(backend="digits", precision=4)
+    cfg["verify"] = {"checks": ["sup_bound"], "cases": {"sup_bound": 100}}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "verify_report.json").read_text())
+    sup_bound = report["checks"]["sup_bound"]
+    assert sup_bound["failures"] == [] and sup_bound["indeterminate"] > 0
+    assert report["failures"] == 0 and report["passed"] is False
+
+
 FUZZ_BASES = {"verify": SMALL_VERIFY, "probe": SMALL_PROBE, "gallery": SMALL_THM41}
 # Small numbers only: a valid count runs, and the run time grows fast
 # with some of them (the thm41 gallery item takes seconds at m = 2).

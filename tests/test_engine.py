@@ -32,7 +32,8 @@ from ultracalc.engine import (
     upsilon_sup_bound_check,
     zero_one_directions,
 )
-from ultracalc.errors import UnsupportedOrder, ZeroIncrement
+from ultracalc import engine
+from ultracalc.errors import PrecisionExhausted, UnsupportedOrder, ZeroIncrement
 from ultracalc.field import FieldContext, PadicVector, Prime
 from ultracalc.functions import (
     BallIndicator,
@@ -103,6 +104,40 @@ def test_phi_zero_increment_rejected():
     with pytest.raises(ZeroIncrement):
         phi(SQUARE, pt)
 
+
+
+# A nonzero increment that vanishes to working precision, and an exact zero.
+TD8 = FieldContext(Prime(5), backend="digits", precision=8)
+LOST = TD8.scalar(5**8)
+
+
+@pytest.mark.parametrize(
+    "zero, error", [(LOST, PrecisionExhausted), (TD8.zero(), ZeroIncrement)]
+)
+def test_every_quotient_guard_tells_lost_increments_from_zero_ones(zero, error):
+    square = Poly(MultiPolynomial.univariate([TD8.vector([c]) for c in (0, 0, 1)]))
+    x, v, leaf = TD8.vector([3]), TD8.vector([1]), UpsilonPoint.leaf
+    u = polynomial_curve([TD8.vector([0]), TD8.vector([1])])
+    with pytest.raises(error):
+        phi(square, PhiPoint(x, (v,), (zero,)))
+    with pytest.raises(error):
+        upsilon(square, UpsilonPoint.node(leaf(x), leaf(v), zero))
+    with pytest.raises(error):
+        chain_phi_low(square, u, PhiPoint(x, (v,), (zero,)))
+    with pytest.raises(error):
+        chain_phi_low(square, u, PhiPoint(x, (v, v), (TD8.scalar(5), zero)))
+    with pytest.raises(error):
+        engine._coordinate_quotient(BallIndicator(TD8.unit_ball(1)), x, 0, zero)
+    # The closed form of a polynomial node is defined at either zero.
+    assert engine._coordinate_quotient(square, x, 0, zero).scalar() == 6
+
+
+def test_an_exact_zero_increment_outranks_a_lost_one():
+    x, v = TD8.vector([3]), TD8.vector([1])
+    u = polynomial_curve([TD8.vector([0]), TD8.vector([1])])
+    with pytest.raises(ZeroIncrement):
+        pt = PhiPoint(x, (v, v), (LOST, TD8.zero()))
+        chain_phi_low(Poly(MultiPolynomial.univariate([v, v])), u, pt)
 
 def test_upsilon_identity_gives_middle_displacement():
     base = UpsilonPoint.node(

@@ -362,3 +362,22 @@ def test_int_unit_reproduces_the_digit_list(a, b, prec):
     zero = ctx.zero()
     assert zero.to_json() == _reference_json((None, (), math.inf))
     assert repr(zero) == _reference_repr((None, (), math.inf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_rationals, wide_rationals, st.integers(1, 40))
+def test_digits_marked_exact_are_the_whole_value(a, b, prec):
+    # exact_digits claims that p**val * unit is the value itself, not
+    # only its residue modulo p**abs_prec: sums and products keep the
+    # claim only while no reduction has cut the unit.
+    ctx = FieldContext(P5, backend="digits", precision=prec)
+    x, y = ctx.scalar(a), ctx.scalar(b)
+    cases = [(x, a), (y, b), (x + y, a + b)]
+    try:
+        cases.append((x * y, a * b))
+    except PrecisionExhausted:
+        pass
+    for s, value in cases:
+        if s.exact_digits:
+            claimed = 0 if s.val is None else s.unit * Fraction(5) ** s.val
+            assert claimed == value

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultracalc.errors import BackendMismatch, DimensionMismatch, DomainError, PrimeMismatch
+from ultracalc.errors import (
+    BackendMismatch,
+    DimensionMismatch,
+    DomainError,
+    PrecisionExhausted,
+    PrimeMismatch,
+)
 from ultracalc.field import Ball, FieldContext, Prime
 from ultracalc.functions import (
     AffinePrecompose,
@@ -163,6 +169,132 @@ def test_exact_evaluate_matches_monomial_sum(poly, data):
         value = poly.evaluate(x)
         assert [e.value for e in value] == [e.value for e in _monomial_sum(poly, x)]
         assert all(e.context() is CTX for e in value)
+
+
+def _step_horner(poly, x):
+    """Reference value: the nested Horner rule stepped through scalar and
+    vector arithmetic, one multiplication by x[axis] per exponent."""
+    ctx = x.entries[0].context()
+
+    def horner(axis, terms):
+        if not terms:
+            return ctx.zero_vector(poly.l)
+        # Group the terms by their exponent of x[axis], keeping their order.
+        layers = {}
+        for e, c in terms.items():
+            layers.setdefault(e[axis], {})[e] = c
+        acc = ctx.zero_vector(poly.l)
+        for k in range(max(layers), -1, -1):
+            acc = acc * x[axis]
+            layer = layers.get(k)
+            if not layer:
+                continue
+            if axis == poly.m - 1:
+                for c in layer.values():
+                    acc = acc + c
+            else:
+                acc = acc + horner(axis + 1, layer)
+        return acc
+
+    return horner(0, poly.terms)
+
+
+def _outcome(evaluate, poly, x):
+    """Every coordinate's (val, unit, abs_prec, exact_digits), or the error."""
+    try:
+        value = evaluate(poly, x)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+    return [(e.val, e.unit, e.abs_prec, e.exact_digits) for e in value]
+
+
+def digit_values(precision):
+    """Exact zeros, nonzero values that vanish to ``precision`` digits,
+    terminating expansions (positive p-adic integers up to a power of 5),
+    and the rest of RATIONALS: negative valuations, non-terminating units."""
+    return st.one_of(
+        st.just(0) | st.integers(0, 2).map(lambda j: Fraction(5) ** (precision + j)),
+        st.builds(
+            lambda n, v: Fraction(n) * Fraction(5) ** v,
+            st.integers(1, 10**6),
+            st.integers(-3, 3),
+        ),
+        RATIONALS,
+    )
+
+
+@st.composite
+def digit_polynomials(draw):
+    """A digit-backend context of precision 1-40 and a polynomial of 1-3
+    variables and 1-2 coordinates over it, possibly with a coordinate
+    that is an exact zero in every term, or with no terms once zero
+    coefficient vectors are dropped."""
+    ctx = FieldContext(Prime(5), backend="digits", precision=draw(st.integers(1, 40)))
+    m = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 2))
+    zero_coord = draw(st.sampled_from((None, 0, 1))) if l == 2 else None
+    values = digit_values(ctx.precision)
+    terms = {}
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=1, max_size=6)):
+        coeff = [draw(values) for _ in range(l)]
+        if zero_coord is not None:
+            coeff[zero_coord] = 0
+        terms[e] = ctx.vector(coeff)
+    return ctx, MultiPolynomial(m, l, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=digit_polynomials(), data=st.data())
+def test_digit_evaluate_matches_step_horner(drawn, data):
+    ctx, poly = drawn
+    values = digit_values(ctx.precision)
+    # Two points: the second evaluation reuses the lowered form.
+    for _ in range(2):
+        x = ctx.vector(data.draw(st.lists(values, min_size=poly.m, max_size=poly.m)))
+        got = _outcome(MultiPolynomial.evaluate, poly, x)
+        assert got == _outcome(_step_horner, poly, x)
+        if type(got) is list:
+            assert all(e.context() is ctx for e in poly.evaluate(x))
+
+
+def test_digit_evaluate_multiplies_by_x_once_per_exponent():
+    # 5**-3 * x**2 + 1 at x = 25, three digits: 5**-3 * x is 5**-1 + O(1),
+    # so the first step exhausts the precision marker.  Squaring x first
+    # would give 5 + O(5**2) instead; the rule steps as the scalars do.
+    ctx = FieldContext(Prime(5), backend="digits", precision=3)
+    poly = MultiPolynomial.univariate([ctx.vector([c]) for c in (1, 0, Fraction(1, 125))])
+    x = ctx.vector([25])
+    want = (PrecisionExhausted, "absolute precision marker reached zero")
+    assert _outcome(_step_horner, poly, x) == want
+    assert _outcome(MultiPolynomial.evaluate, poly, x) == want
+
+
+def test_digit_evaluate_rejects_coefficients_of_another_prime_or_backend():
+    digits = FieldContext(Prime(5), backend="digits")
+    seven = FieldContext(Prime(7), backend="digits")
+    x = digits.vector([3])
+    cases = [
+        ([seven.vector([1]), seven.vector([2])], PrimeMismatch),
+        ([CTX.vector([1]), CTX.vector([2])], BackendMismatch),
+        # Horner's rule meets the highest power first.
+        ([seven.vector([1]), CTX.vector([2])], BackendMismatch),
+        ([CTX.vector([1]), seven.vector([2])], PrimeMismatch),
+        # A mismatch below a coefficient that fits.
+        ([seven.vector([1]), digits.vector([2])], PrimeMismatch),
+    ]
+    for coeffs, error in cases:
+        poly = MultiPolynomial.univariate(coeffs)
+        with pytest.raises(error) as got:
+            poly.evaluate(x)
+        with pytest.raises(error) as want:
+            _step_horner(poly, x)
+        assert str(got.value) == str(want.value)
+    # The lowered form is kept per prime and backend: a polynomial that
+    # evaluated at digit points still rejects an exact point.
+    poly = MultiPolynomial.univariate([digits.vector([1]), digits.vector([2])])
+    assert poly.evaluate(x).scalar() == 7
+    with pytest.raises(BackendMismatch):
+        poly.evaluate(CTX.vector([3]))
 
 
 def test_exact_evaluate_rejects_coefficients_of_another_prime_or_backend():
