@@ -56,8 +56,9 @@ class PhiPoint:
     def __post_init__(self) -> None:
         if len(self.vs) != len(self.ts):
             raise DimensionMismatch("need as many directions as increments")
+        m = len(self.x.entries)
         for v in self.vs:
-            if v.dim != self.x.dim:
+            if len(v.entries) != m:
                 raise DimensionMismatch("direction dimension != base dimension")
 
     @property

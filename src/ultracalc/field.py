@@ -2,9 +2,10 @@
 
 Scalars come in two interchangeable backends:
 
-* ``ExactScalar`` wraps a rational number and computes valuations on
-  demand.  Every operation is exact, which makes this the ground-truth
-  backend for identity checking: rational data in, rational data out.
+* ``ExactScalar`` holds a rational number as a reduced int pair
+  ``(num, den)`` and computes valuations on demand.  Every operation is
+  exact, which makes this the ground-truth backend for identity
+  checking: rational data in, rational data out.
 * ``DigitScalar`` stores a valuation, an integer unit prime to p and
   an absolute precision marker (the capped-absolute model), and models
   lossy arithmetic honestly.  A value is known modulo ``p**abs_prec``;
@@ -126,6 +127,8 @@ class PadicScalar:
         return self.ctx
 
     def _coerce(self, other) -> "PadicScalar":
+        if type(other) is type(self) and other.ctx is self.ctx:
+            return other
         if isinstance(other, PadicScalar):
             if other.ctx is not self.ctx and other.ctx.prime != self.ctx.prime:
                 raise PrimeMismatch(f"{self.prime} vs {other.prime}")
@@ -178,32 +181,97 @@ class PadicScalar:
         return not self.is_zero()
 
 
+# -- rational rules -------------------------------------------------------------
+#
+# The exact backend's add, multiply and divide rules, on ``(num, den)``
+# int pairs in lowest terms with ``den > 0``: the canonical form of
+# ``fractions.Fraction``, reached by the same gcd steps.  The ExactScalar
+# methods wrap them, so the rules exist once.
+
+
+def _q_add(na: int, da: int, nb: int, db: int) -> tuple:
+    g = math.gcd(da, db)
+    if g == 1:
+        return (na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return (t, s * db)
+    return (t // g2, s * (db // g2))
+
+
+def _q_mul(na: int, da: int, nb: int, db: int) -> tuple:
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return (na * nb, db * da)
+
+
+def _q_div(na: int, da: int, nb: int, db: int) -> tuple:
+    """The quotient; ``nb`` must be nonzero."""
+    g1 = math.gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = math.gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        return (-n, -d)
+    return (n, d)
+
+
 class ExactScalar(PadicScalar):
-    """A p-adic number held as an exact rational."""
+    """A p-adic number held as an exact rational ``num / den``.
 
-    __slots__ = ("value", "_val")
+    The pair is in lowest terms with ``den > 0``, as ``Fraction`` keeps
+    it, so equality is equality of pairs and ``hash`` is the Fraction's.
+    """
 
-    def __init__(self, ctx: "FieldContext", value: RationalLike):
+    __slots__ = ("num", "den", "_val")
+
+    def __init__(
+        self, ctx: "FieldContext", value: RationalLike | None, pair: tuple | None = None
+    ):
+        """``value`` is an int or a Fraction; or it is None and ``pair``
+        is a ``(num, den)`` already in lowest terms with ``den > 0``."""
         self.ctx = ctx
-        # Arithmetic on Fractions already yields a reduced Fraction.
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
+        if pair is not None:
+            self.num, self.den = pair
+        elif type(value) is int:
+            self.num, self.den = value, 1
+        elif isinstance(value, Fraction):
+            self.num, self.den = value.numerator, value.denominator
+        else:
+            raise TypeError(f"an exact scalar is an int or a Fraction, got {value!r}")
         self._val = None
 
-    # Fraction keeps num/den reduced, so the p-power content of the
-    # denominator is exactly the negative part of the valuation.
+    @property
+    def value(self) -> Fraction:
+        """The value as a Fraction, built on request."""
+        return Fraction(self.num, self.den)
+
+    # num/den are reduced, so the p-power content of the denominator is
+    # exactly the negative part of the valuation.
     def valuation(self):
         if self._val is None:
-            if not self.value:
+            if not self.num:
                 self._val = INF
             else:
                 p = self.ctx.prime.p
-                vn = int_valuation(self.value.numerator, p)
-                vd = int_valuation(self.value.denominator, p)
-                self._val = vn - vd
+                self._val = int_valuation(self.num, p) - int_valuation(self.den, p)
         return self._val
 
     def is_zero(self) -> bool:
-        return not self.value
+        return not self.num
 
     def digits(self, upto: int, start: int | None = None) -> list[int]:
         """Canonical residues a_n of the expansion sum(a_n * p**n).
@@ -224,10 +292,11 @@ class ExactScalar(PadicScalar):
             return [0] * length
         if v < start:
             raise ValueError("expansion has nonzero digits below start")
-        shifted = self.value / Fraction(p) ** start
-        num, den = shifted.numerator, shifted.denominator
+        # The value over p**start, whose denominator is then prime to p.
+        num, den = self.num * p ** max(0, -start), self.den * p ** max(0, start)
+        g = math.gcd(num, den)
         modulus = p**length
-        unit = (num * pow(den, -1, modulus)) % modulus
+        unit = (num // g * pow(den // g, -1, modulus)) % modulus
         out = []
         for _ in range(length):
             unit, r = divmod(unit, p)
@@ -235,41 +304,39 @@ class ExactScalar(PadicScalar):
         return out
 
     def to_json(self) -> dict:
-        return {
-            "p": self.prime.p,
-            "num": str(self.value.numerator),
-            "den": str(self.value.denominator),
-        }
+        return {"p": self.prime.p, "num": str(self.num), "den": str(self.den)}
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.ctx, self.value + other.value)
+        return ExactScalar(self.ctx, None, _q_add(self.num, self.den, other.num, other.den))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.ctx, self.value * other.value)
+        return ExactScalar(self.ctx, None, _q_mul(self.num, self.den, other.num, other.den))
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.value:
+        if not other.num:
             raise DivisionByZero("division by zero scalar")
-        return ExactScalar(self.ctx, self.value / other.value)
+        return ExactScalar(self.ctx, None, _q_div(self.num, self.den, other.num, other.den))
 
     def __neg__(self):
-        return ExactScalar(self.ctx, -self.value)
+        return ExactScalar(self.ctx, None, (-self.num, self.den))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.prime == other.prime and self.value == other.value
+        if isinstance(other, ExactScalar):
+            return self.prime == other.prime and (self.num, self.den) == (other.num, other.den)
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        if isinstance(other, Fraction):
+            return (self.num, self.den) == (other.numerator, other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # Equal to an int or Fraction of the same value, so hash alike.
@@ -617,7 +684,7 @@ class PadicVector:
     def __add__(self, other: "PadicVector") -> "PadicVector":
         if not isinstance(other, PadicVector):
             return NotImplemented
-        if other.dim != self.dim:
+        if len(other.entries) != len(self.entries):
             from .errors import DimensionMismatch
 
             raise DimensionMismatch(f"{self.dim} vs {other.dim}")
@@ -726,6 +793,8 @@ class FieldContext:
         return self.prime.p
 
     def scalar(self, value: RationalLike) -> PadicScalar:
+        if type(value) is not int and not isinstance(value, Fraction):
+            raise TypeError(f"a scalar is made from an int or a Fraction, got {value!r}")
         if self.backend == "exact":
             return ExactScalar(self, value)
         return DigitScalar.from_fraction(self, value)

@@ -22,6 +22,7 @@ from .field import (
     _EXACT_ZERO,
     Ball,
     DigitScalar,
+    ExactScalar,
     FieldContext,
     PadicScalar,
     PadicVector,
@@ -90,11 +91,12 @@ class MultiPolynomial:
 
         Both backends run the rule on the polynomial's lowered form
         (``_lower``) and build one scalar per output coordinate.  The
-        exact backend runs it on Python ints; the digit backend on
+        exact backend runs it on Python ints and reduces each result
+        with one gcd; the digit backend on
         ``(val, unit, abs_prec, exact)`` tuples with the DigitScalar
         precision rules, step for step as scalar arithmetic would.
         """
-        if x.dim != self.m:
+        if len(x.entries) != self.m:
             raise DimensionMismatch(f"expected dim {self.m}, got {x.dim}")
         ctx = x.entries[0].context()
         lowered = self._lowered
@@ -106,15 +108,15 @@ class MultiPolynomial:
             value = _horner_states(form, 0, xs, ctx.prime.p, self.l)
             return PadicVector([DigitScalar(ctx, *s) for s in value])
         degrees, coords = form
-        nums = [e.value.numerator for e in x.entries]
-        dens = [e.value.denominator for e in x.entries]
+        nums = [e.num for e in x.entries]
+        dens = [e.den for e in x.entries]
         scale = math.prod(d**k for d, k in zip(dens, degrees))
-        return PadicVector(
-            [
-                ctx.scalar(Fraction(_horner_ints(layers, 0, nums, dens, degrees), den * scale))
-                for den, layers in coords
-            ]
-        )
+        out = []
+        for den, layers in coords:
+            num, den = _horner_ints(layers, 0, nums, dens, degrees), den * scale
+            g = math.gcd(num, den)  # den > 0, so the pair is canonical
+            out.append(ExactScalar(ctx, None, (num // g, den // g)))
+        return PadicVector(out)
 
     def _lower(self, ctx: FieldContext) -> tuple:
         """The form Horner's rule runs on at points of ``ctx``.
@@ -138,9 +140,9 @@ class MultiPolynomial:
         degrees = [max((e[i] for e in self.terms), default=0) for i in range(self.m)]
         coords = []
         for r in range(self.l):
-            column = {e: c[r].value for e, c in self.terms.items() if c[r].value}
-            den = math.lcm(*(v.denominator for v in column.values()))
-            ints = {e: v.numerator * (den // v.denominator) for e, v in column.items()}
+            column = {e: (c[r].num, c[r].den) for e, c in self.terms.items() if c[r].num}
+            den = math.lcm(*(d for _, d in column.values()))
+            ints = {e: n * (den // d) for e, (n, d) in column.items()}
             coords.append((den, _nest(ints, 0, self.m)))
         return key, (degrees, coords)
 
@@ -272,7 +274,7 @@ class FunctionExpr:
         raise NotImplementedError
 
     def _check_input(self, x: PadicVector) -> None:
-        if x.dim != self.input_dim:
+        if len(x.entries) != self.input_dim:
             raise DimensionMismatch(
                 f"{type(self).__name__} expects dim {self.input_dim}, got {x.dim}"
             )

@@ -115,9 +115,9 @@ class HFamily:
 
         if isinstance(y, ExactScalar):
             # Digits terminate exactly for nonnegative p-power fractions.
-            if y.value < 0:
+            if y.num < 0:
                 return False
-            den = y.value.denominator
+            den = y.den
             p = y.prime.p
             while den % p == 0:
                 den //= p
@@ -130,8 +130,9 @@ class HFamily:
 
         p = y.prime.p
         if isinstance(y, ExactScalar):
+            # A terminating y is num / p**-n when n < 0, else an int.
             n = y.valuation()
-            unit = int(y.value / Fraction(p) ** n)
+            unit = y.num // p ** max(n, 0)
         else:
             n, unit = y.val, y.unit_int()
         while unit >= p:

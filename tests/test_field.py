@@ -276,6 +276,106 @@ def test_exact_scalar_hash_matches_equality():
         assert value in {x} and x in {value}
 
 
+@pytest.mark.parametrize("backend", ["exact", "digits"])
+def test_scalars_are_made_from_ints_and_fractions_only(backend):
+    ctx = FieldContext(P5, backend=backend, precision=8)
+    for bad in (0.1, 0.5, True, False, "1", None):
+        with pytest.raises(TypeError):
+            ctx.scalar(bad)
+        with pytest.raises(TypeError):
+            ctx.vector([1, bad])
+    assert ctx.scalar(Fraction(1, 2)) == ctx.scalar(1) / 2
+
+
+def _exact_pair(x):
+    assert type(x) is ExactScalar and x.context() is EX5
+    return (x.num, x.den)
+
+
+def _assert_canonical(x, ref: Fraction):
+    """``x`` holds ``ref`` as Fraction does: lowest terms, den > 0."""
+    assert _exact_pair(x) == (ref.numerator, ref.denominator)
+    assert math.gcd(x.num, x.den) == 1 and x.den > 0
+    assert hash(x) == hash(ref)
+    assert x == ref and x.value == ref
+
+
+# Zero, small rationals over shared denominators (so sums and products
+# cancel), and +-5**k, 5**-k up to k = 60 with unit cofactors.
+exact_operands = st.one_of(
+    st.just(0),
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 12, 25))),
+    st.builds(
+        lambda sign, unit, k: Fraction(sign * unit) * Fraction(5) ** k,
+        st.sampled_from((1, -1)),
+        st.sampled_from((1, 2, 3, 7)),
+        st.integers(-60, 60),
+    ),
+)
+exact_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("+", "-", "*", "/", "neg")),
+        exact_operands,
+        # How the operand enters: a scalar, a raw int or Fraction on the
+        # right (coerced), or a raw one on the left (reflected dunder).
+        st.sampled_from(("scalar", "right", "left")),
+    ),
+    max_size=12,
+)
+_RULES = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_operands, exact_steps)
+def test_exact_rules_match_fraction(start, steps):
+    x, ref = ExactScalar(EX5, start), Fraction(start)
+    _assert_canonical(x, ref)
+    for op, operand, how in steps:
+        if op == "neg":
+            x, ref = -x, -ref
+            _assert_canonical(x, ref)
+            continue
+        rule = _RULES[op]
+        if how == "left":
+            args, ref_args = (operand, x), (Fraction(operand), ref)
+        else:
+            b = EX5.scalar(operand) if how == "scalar" else operand
+            args, ref_args = (x, b), (ref, Fraction(operand))
+        try:
+            want = rule(*ref_args)
+        except ZeroDivisionError:
+            with pytest.raises(DivisionByZero):
+                rule(*args)
+            continue
+        x, ref = rule(*args), want
+        _assert_canonical(x, ref)
+
+
+def test_exact_rules_reduce_in_every_branch():
+    cases = [
+        ("+", Fraction(1, 6), Fraction(1, 6)),  # second gcd of the sum
+        ("+", Fraction(1, 6), Fraction(-1, 6)),  # a zero sum is 0/1
+        ("+", Fraction(1, 2), Fraction(1, 3)),  # coprime denominators
+        ("*", Fraction(2, 3), Fraction(3, 2)),  # both cross-reductions
+        ("*", Fraction(0), Fraction(-3, 5)),
+        ("/", Fraction(1, 2), Fraction(-1, 4)),  # the sign moves up
+        ("/", Fraction(0), Fraction(-3)),
+        ("/", Fraction(-4, 9), Fraction(-2, 3)),
+    ]
+    for op, a, b in cases:
+        _assert_canonical(_RULES[op](EX5.scalar(a), EX5.scalar(b)), _RULES[op](a, b))
+    with pytest.raises(DivisionByZero):
+        EX5.scalar(Fraction(1, 3)) / 0
+    with pytest.raises(DivisionByZero):
+        Fraction(1, 3) / EX5.zero()
+
+
 def _reference_state(value: Fraction, prec: int):
     """(val, unit digits, abs_prec) of ``value`` by the digit-list split.
 

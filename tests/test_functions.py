@@ -167,7 +167,11 @@ def test_exact_evaluate_matches_monomial_sum(poly, data):
     for _ in range(2):
         x = CTX.vector(data.draw(st.lists(RATIONALS, min_size=poly.m, max_size=poly.m)))
         value = poly.evaluate(x)
-        assert [e.value for e in value] == [e.value for e in _monomial_sum(poly, x)]
+        want = [e.value for e in _monomial_sum(poly, x)]
+        assert [e.value for e in value] == want
+        # The stored pair itself is canonical: ``value`` would reduce an
+        # unreduced one and hide it.
+        assert [(e.num, e.den) for e in value] == [(v.numerator, v.denominator) for v in want]
         assert all(e.context() is CTX for e in value)
 
 
