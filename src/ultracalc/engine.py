@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Sequence
@@ -178,6 +179,28 @@ class UpsilonPoint:
 
 # -- evaluators ----------------------------------------------------------------
 
+# Leaf values of the current sample by ``(f, *point states)``, or None
+# outside a sample; ``verify._attempt`` sets a fresh dict per sample and
+# resets it.  The key holds f itself, not its id, so it keeps f alive.
+_LEAF_MEMO: ContextVar = ContextVar("leaf_memo", default=None)
+
+
+def _leaf(f: FunctionExpr, x: PadicVector) -> PadicVector:
+    """``f.evaluate(x)``, once per point state within a sample.
+
+    A state is each coordinate's int pair (exact) or capped-absolute
+    tuple (digits), so a hit is what recomputation would give.  An
+    evaluation that raises stores nothing.
+    """
+    memo = _LEAF_MEMO.get()
+    if memo is None:
+        return f.evaluate(x)
+    key = (f, *[e._state() for e in x.entries])
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = f.evaluate(x)
+    return value
+
 
 def _zero_increment(message: str, *ts: PadicScalar) -> Exception:
     """The error for a quotient asked for at increments ``ts``, one of them zero.
@@ -193,9 +216,13 @@ def _zero_increment(message: str, *ts: PadicScalar) -> Exception:
 
 
 def phi(f: FunctionExpr, pt: PhiPoint) -> PadicVector:
-    """Order-n partial difference quotient, by the defining recursion."""
+    """Order-n partial difference quotient, by the defining recursion.
+
+    Within a sample of ``verify._attempt`` its 2**n order-0 calls share
+    leaf values (``_leaf``); exceptions are not cached.
+    """
     if pt.order == 0:
-        return f.evaluate(pt.x)
+        return _leaf(f, pt.x)
     t = pt.ts[-1]
     if t.is_zero():
         raise _zero_increment(
@@ -207,9 +234,13 @@ def phi(f: FunctionExpr, pt: PhiPoint) -> PadicVector:
 
 
 def upsilon(f: FunctionExpr, pt: UpsilonPoint) -> PadicVector:
-    """Order-n full difference quotient, by the defining recursion."""
+    """Order-n full difference quotient, by the defining recursion.
+
+    Within a sample of ``verify._attempt`` its 2**n order-0 calls share
+    leaf values (``_leaf``); exceptions are not cached.
+    """
     if pt.order == 0:
-        return f.evaluate(pt.point)
+        return _leaf(f, pt.point)
     if pt.t.is_zero():
         raise _zero_increment("full quotient needs nonzero increments", pt.t)
     moved = pt.base.add_scaled(pt.disp, pt.t)

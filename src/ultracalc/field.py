@@ -26,7 +26,7 @@ draws digitwise-uniform points deterministically from a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence, Union
@@ -259,6 +259,10 @@ class ExactScalar(PadicScalar):
         """The value as a Fraction, built on request."""
         return Fraction(self.num, self.den)
 
+    def _state(self) -> tuple:
+        """``(num, den)``: the value, as ``DigitScalar._state`` gives its own."""
+        return (self.num, self.den)
+
     # num/den are reduced, so the p-power content of the denominator is
     # exactly the negative part of the valuation.
     def valuation(self):
@@ -465,22 +469,22 @@ class DigitScalar(PadicScalar):
         return (self.val, self.unit, self.abs_prec, self.exact_digits)
 
     @classmethod
-    def from_fraction(cls, ctx: "FieldContext", value: RationalLike) -> "DigitScalar":
-        """``value`` modulo ``p**ctx.precision``."""
-        abs_prec = ctx.precision
-        value = Fraction(value)
-        p = ctx.prime.p
-        if value == 0:
+    def from_pair(cls, ctx: "FieldContext", num: int, den: int) -> "DigitScalar":
+        """``num / den`` modulo ``p**ctx.precision``, for a pair in lowest
+        terms with ``den > 0``."""
+        if not num:
             return cls.exact_zero(ctx)
-        vn = int_valuation(value.numerator, p)
-        vd = int_valuation(value.denominator, p)
+        abs_prec = ctx.precision
+        p = ctx.prime.p
+        vn = int_valuation(num, p)
+        vd = int_valuation(den, p)
         v = vn - vd
         if v >= abs_prec:
             return cls.apparent_zero(ctx, abs_prec)
         modulus = p ** (abs_prec - v)
-        num = value.numerator // p**vn
-        den = value.denominator // p**vd
-        terminating = value > 0 and den == 1
+        num //= p**vn
+        den //= p**vd
+        terminating = num > 0 and den == 1
         # A terminating unit goes in whole, so that make clears the
         # exactness of one that does not fit in the precision.
         unit = num if terminating else (num * pow(den, -1, modulus)) % modulus
@@ -781,6 +785,12 @@ class FieldContext:
     prime: Prime
     backend: str = "exact"
     precision: int = DEFAULT_PRECISION
+    # p**|k| by exponent, for pi_pow; not part of the context's identity.
+    # Ints only: a cached scalar would hold the context holding it, a
+    # cycle that only the garbage collector frees.
+    _powers: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.backend not in ("exact", "digits"):
@@ -793,11 +803,27 @@ class FieldContext:
         return self.prime.p
 
     def scalar(self, value: RationalLike) -> PadicScalar:
-        if type(value) is not int and not isinstance(value, Fraction):
-            raise TypeError(f"a scalar is made from an int or a Fraction, got {value!r}")
+        if type(value) is int:
+            return self.ratio(value)
+        if isinstance(value, Fraction):
+            return self.ratio(value.numerator, value.denominator)
+        raise TypeError(f"a scalar is made from an int or a Fraction, got {value!r}")
+
+    def ratio(self, num: int, den: int = 1) -> PadicScalar:
+        """The scalar ``num / den`` of two ints, ``den`` nonzero: the one
+        constructor of both backends, with no Fraction in between."""
+        if den != 1:
+            if not den:
+                raise ZeroDivisionError(f"ratio {num}/0")
+            g = math.gcd(num, den)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num //= g
+                den //= g
         if self.backend == "exact":
-            return ExactScalar(self, value)
-        return DigitScalar.from_fraction(self, value)
+            return ExactScalar(self, None, (num, den))
+        return DigitScalar.from_pair(self, num, den)
 
     def zero(self) -> PadicScalar:
         if self.backend == "exact":
@@ -812,7 +838,23 @@ class FieldContext:
         return self.scalar(self.prime.p)
 
     def pi_pow(self, k: int) -> PadicScalar:
-        return self.scalar(Fraction(self.prime.p) ** k)
+        """``p**k``.
+
+        On the exact backend the int ``p**|k|`` is computed once per
+        exponent and kept on this context.  On the digit backend a power
+        below the precision is exact, with valuation k and unit 1; from
+        the precision on it is an apparent zero.
+        """
+        if self.backend == "digits":
+            if k < self.precision:
+                return DigitScalar(self, k, 1, self.precision, True)
+            return DigitScalar.apparent_zero(self, self.precision)
+        power = self._powers.get(abs(k))
+        if power is None:
+            power = self._powers[abs(k)] = self.prime.p ** abs(k)
+        scalar = ExactScalar(self, None, (power, 1) if k >= 0 else (1, power))
+        scalar._val = k  # known; finding it again divides by p k times
+        return scalar
 
     def vector(self, values: Sequence) -> PadicVector:
         return PadicVector(
@@ -841,7 +883,8 @@ class FieldContext:
             offset = 0
             for i in range(count):
                 offset += rng.randrange(p) * p**i
-            coords.append(c + self.scalar(Fraction(offset) * Fraction(p) ** (-k)))
+            shift = self.ratio(offset, p**k) if k >= 0 else self.ratio(offset * p**-k)
+            coords.append(c + shift)
         return PadicVector(coords)
 
     def sample_unit_direction(self, dim: int, rng: Random) -> PadicVector:
@@ -860,8 +903,7 @@ class FieldContext:
         if type(data) is not dict:
             raise TypeError(f"a scalar is a JSON object, got {data!r}")
         if "num" in data:
-            value = Fraction(int(data["num"]), int(data["den"]))
-            return self.scalar(value)
+            return self.ratio(int(data["num"]), int(data["den"]))
         if data.get("val") == "inf":
             return self.zero()
         p = self.prime.p

@@ -448,6 +448,19 @@ def local_boundedness_probe(
     }
 
 
+def _measured(d: PadicVector) -> PadicVector:
+    """``d``, if its valuation is measured; else ``PrecisionExhausted``.
+
+    An apparent zero O(p^k) reports k, only a lower bound, so the least
+    valuation is measured when a nonzero entry attains it or every entry
+    is an exact zero.
+    """
+    v = d.valuation()
+    if v != INF and not any(e.valuation() == v and not e.is_zero() for e in d):
+        raise PrecisionExhausted("the difference vanishes only to working precision")
+    return d
+
+
 def lipschitz_fit(
     f,
     region: Ball,
@@ -465,6 +478,8 @@ def lipschitz_fit(
     level and returns the smallest consecutive slope, clipped to
     [0, 1], with the least constant making the bound hold on every
     sample.  All-zero differences yield the degenerate fit (1, 0).
+    A difference whose valuation is only a lower bound (``_measured``)
+    is not fitted but counted indeterminate in ``lost``.
     """
     ctx = _context_of(region)
     rng = Random(seed)
@@ -478,7 +493,7 @@ def lipschitz_fit(
                 region.dim, rng
             )
             y = w * ctx.pi_pow(j)
-            d = _attempt(lost, lambda: evaluate(x + y) - evaluate(x))
+            d = _attempt(lost, lambda: _measured(evaluate(x + y) - evaluate(x)))
             if d is None:
                 continue
             a = (y).valuation()

@@ -15,11 +15,11 @@ unit-bounded rationals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from random import Random
 from typing import Sequence
 
 from .engine import (
+    _LEAF_MEMO,
     CheckReport,
     PhiPoint,
     UpsilonPoint,
@@ -54,33 +54,31 @@ _COPRIME_DENOMS = {2: (3, 5, 7), 3: (2, 4, 5), 5: (2, 3, 7), 7: (2, 3, 5)}
 # -- random data -----------------------------------------------------------------
 
 
-def random_unit(ctx: FieldContext, rng: Random):
-    """Nonzero valuation-0 scalar with a terminating expansion."""
+def random_increment(ctx: FieldContext, rng: Random, vmin: int = 0, vmax: int = 3):
+    """``u * p**v`` with v drawn from [vmin, vmax], then a unit u below
+    p**3: a terminating expansion, built as one int pair."""
     p = ctx.p
+    v = rng.randrange(vmin, vmax + 1)
     u = rng.randrange(1, p**3)
     while u % p == 0:
         u = rng.randrange(1, p**3)
-    return ctx.scalar(u)
+    return ctx.ratio(u * p**v) if v >= 0 else ctx.ratio(u, p**-v)
 
 
-def random_increment(ctx: FieldContext, rng: Random, vmin: int = 0, vmax: int = 3):
-    v = rng.randrange(vmin, vmax + 1)
-    return random_unit(ctx, rng) * ctx.pi_pow(v)
-
-
-def _unit_bounded_fraction(p: int, rng: Random, allow_zero: bool) -> Fraction:
+def _unit_bounded_pair(p: int, rng: Random, allow_zero: bool) -> tuple:
+    """``(num, den)`` of a rational of norm <= 1, not yet in lowest terms."""
     if allow_zero and rng.random() < 0.15:
-        return Fraction(0)
+        return (0, 1)
     denoms = _COPRIME_DENOMS.get(p, (2, 3))
     num = rng.randrange(-9, 10) or 1
     den = rng.choice((1,) * 3 + denoms)
     extra = rng.randrange(0, 3)
-    return Fraction(num, den) * Fraction(p) ** extra
+    return (num * p**extra, den)
 
 
 def random_unit_bounded(ctx: FieldContext, rng: Random, allow_zero: bool = True):
     """Rational of norm <= 1; may have a non-terminating expansion."""
-    return ctx.scalar(_unit_bounded_fraction(ctx.p, rng, allow_zero))
+    return ctx.ratio(*_unit_bounded_pair(ctx.p, rng, allow_zero))
 
 
 def random_nonneg_unit_bounded(ctx: FieldContext, rng: Random, allow_zero: bool = True):
@@ -90,7 +88,8 @@ def random_nonneg_unit_bounded(ctx: FieldContext, rng: Random, allow_zero: bool 
     points: with positive increments and nonnegative displacements,
     every evaluation increment of the recursion stays nonzero.
     """
-    return ctx.scalar(abs(_unit_bounded_fraction(ctx.p, rng, allow_zero)))
+    num, den = _unit_bounded_pair(ctx.p, rng, allow_zero)
+    return ctx.ratio(abs(num), den)
 
 
 def random_integral_vector(ctx: FieldContext, rng: Random, dim: int) -> PadicVector:
@@ -183,12 +182,19 @@ def _attempt(report: CheckReport, compute, samples: int = 1):
     A computation that runs out of precision decides none of the
     ``samples`` it was to check: each counts as sampled and
     indeterminate, neither a pass nor a failure.
+
+    ``compute`` is one sample: its quotients share leaf values through a
+    fresh memo (``engine._LEAF_MEMO``), reset when it returns or raises,
+    so no value outlives the sample.  Exceptions are not cached.
     """
+    token = _LEAF_MEMO.set({})
     try:
         return compute()
     except (PrecisionExhausted, IndeterminateRank):
         report.record_indeterminate(samples)
         return None
+    finally:
+        _LEAF_MEMO.reset(token)
 
 
 def leibniz_suite(

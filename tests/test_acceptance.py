@@ -9,7 +9,7 @@ from random import Random
 
 from ultracalc.engine import phi
 from ultracalc.field import FieldContext, PadicVector, Prime
-from ultracalc.functions import MultiPolynomial, Poly, build_gallery
+from ultracalc.functions import MultiPolynomial, Poly, build_gallery, polynomial_curve
 from ultracalc.gallery import (
     build_counterexample,
     curve_flatness_check,
@@ -147,9 +147,9 @@ def test_criterion_07_rank_bound():
     )
 
 
-def test_criterion_08_counterexample_reproduction():
+def _counterexample_reproduction(m: int) -> None:
     t0 = time.monotonic()
-    cf = build_counterexample(EX, m=1)
+    cf = build_counterexample(EX, m=m)
     witness = discontinuity_witness(cf, 10)
     norms = [w["max_norm"] for w in witness]
     ok = len(witness) == 10
@@ -157,27 +157,36 @@ def test_criterion_08_counterexample_reproduction():
     ok = ok and all(a > b for a, b in zip(norms, norms[1:]))
     rng = Random(SEED + 9)
     zero_ok = all(
-        cf.evaluate(random_integral_vector(EX, rng, 1), EX.zero()).is_zero()
+        cf.evaluate(random_integral_vector(EX, rng, m), EX.zero()).is_zero()
         for _ in range(100)
     )
     ok = ok and zero_ok
     flat_ok = True
     for i in range(5):
-        zero = EX.zero_vector(2)
-        coeffs = [zero] + [random_integral_vector(EX, rng, 2) for _ in range(2)]
-        from ultracalc.functions import polynomial_curve
-
+        zero = EX.zero_vector(m + 1)
+        coeffs = [zero] + [random_integral_vector(EX, rng, m + 1) for _ in range(2)]
         out = curve_flatness_check(cf, polynomial_curve(coeffs), seed=SEED + 10 + i)
         flat_ok = flat_ok and out["passed"]
     ok = ok and flat_ok
     report(
         8,
-        "moving-bump counterexample: 10 unit-value witnesses, zero section, flat curves",
+        f"moving-bump counterexample (m = {m}): 10 unit-value witnesses, zero section, "
+        "flat curves",
         t0,
         60,
         ok,
         f"norms {str(norms[0])}..{str(norms[-1])}",
     )
+
+
+def test_criterion_08_counterexample_reproduction():
+    _counterexample_reproduction(1)
+
+
+def test_criterion_08_counterexample_reproduction_with_three_variables():
+    # m = 2: exponents n**(2(m - j + 1)) + n of pi reach n**6, so the
+    # budget holds only when each power of p is built once per context.
+    _counterexample_reproduction(2)
 
 
 def test_criterion_09_probe_soundness():

@@ -37,12 +37,14 @@ from ultracalc.errors import PrecisionExhausted, UnsupportedOrder, ZeroIncrement
 from ultracalc.field import FieldContext, PadicVector, Prime
 from ultracalc.functions import (
     BallIndicator,
+    FunctionExpr,
     MultiPolynomial,
     Poly,
     Product,
     polynomial_curve,
 )
 from ultracalc.verify import (
+    _attempt,
     random_increment,
     random_integral_vector,
     random_phi_point,
@@ -652,3 +654,76 @@ def test_padic_rank_prefers_max_norm_pivots():
     ]
     assert padic_rank(rows2) == 1
 
+
+
+# -- leaf memo within one sample ---------------------------------------------------
+
+
+class _Counted(FunctionExpr):
+    """``inner`` with a count of its evaluations; raises when ``fail`` is set."""
+
+    def __init__(self, inner, fail=False):
+        self.inner, self.fail, self.calls = inner, fail, 0
+        self.input_dim, self.output_dim = inner.input_dim, inner.output_dim
+
+    def evaluate(self, x):
+        self.calls += 1
+        if self.fail:
+            raise PrecisionExhausted("leaf out of digits")
+        return self.inner.evaluate(x)
+
+
+def test_leaf_memo_is_set_only_for_the_span_of_one_sample():
+    report = CheckReport("memo")
+    seen = []
+    assert engine._LEAF_MEMO.get() is None
+    _attempt(report, lambda: seen.append(engine._LEAF_MEMO.get()))
+    _attempt(report, lambda: seen.append(engine._LEAF_MEMO.get()))
+    assert seen == [{}, {}] and seen[0] is not seen[1]
+    assert engine._LEAF_MEMO.get() is None
+
+    def lost():
+        raise PrecisionExhausted("out of digits")
+
+    def broken():
+        raise ValueError("not a sample's failure")
+
+    assert _attempt(report, lost) is None and report.indeterminate == 1
+    assert engine._LEAF_MEMO.get() is None
+    with pytest.raises(ValueError):
+        _attempt(report, broken)
+    assert engine._LEAF_MEMO.get() is None
+
+
+@pytest.mark.parametrize("backend", ["exact", "digits"])
+def test_leaf_memo_hit_equals_recomputation(backend):
+    ctx = FieldContext(Prime(5), backend=backend, precision=32)
+    rng = Random(11)
+    f = _Counted(Poly(random_poly(ctx, rng, degree_max=4)))
+    pt = random_phi_point(ctx, rng, 1, 3)
+    plain = transposition_symmetry_check(f, pt).to_json()
+    assert f.calls == 7 * 2**3
+    f.calls = 0
+    shared = _attempt(CheckReport("memo"), lambda: transposition_symmetry_check(f, pt))
+    # Every permutation meets the same 2**3 points x + sum of some v_i t_i.
+    assert f.calls == 2**3
+    assert shared.to_json() == plain
+    g = _Counted(Poly(random_poly(ctx, rng, degree_max=3)))
+    upt = random_upsilon_point(ctx, rng, 1, 2)
+    assert _attempt(CheckReport("memo"), lambda: upsilon(g, upt)) == upsilon(g, upt)
+
+
+def test_a_raising_leaf_is_not_cached():
+    f = _Counted(SQUARE, fail=True)
+    pt = phi_point(2, [1], [5])
+    outcomes = []
+
+    def twice():
+        for _ in range(2):
+            with pytest.raises(PrecisionExhausted, match="leaf out of digits"):
+                phi(f, pt)
+            outcomes.append(f.calls)
+        return True
+
+    assert _attempt(CheckReport("memo"), twice)
+    assert outcomes == [1, 2]

@@ -1,7 +1,9 @@
 """Scalar, vector and ball arithmetic in both backends."""
 
 from fractions import Fraction
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -481,3 +483,85 @@ def test_digits_marked_exact_are_the_whole_value(a, b, prec):
         if s.exact_digits:
             claimed = 0 if s.val is None else s.unit * Fraction(5) ** s.val
             assert claimed == value
+
+
+def _fraction_digit_state(value: Fraction, p: int, prec: int) -> tuple:
+    """The digit state a Fraction had before scalars were built from int
+    pairs: the rule of the Fraction-based constructor, kept as a reference."""
+    if value == 0:
+        return (None, 0, math.inf, True)
+    n, d = value.numerator, value.denominator
+    vn = vd = 0
+    while n % p == 0:
+        n, vn = n // p, vn + 1
+    while d % p == 0:
+        d, vd = d // p, vd + 1
+    v = vn - vd
+    if v >= prec:
+        return (None, 0, prec, False)
+    modulus = p ** (prec - v)
+    terminating = value > 0 and d == 1
+    unit = n if terminating else n * pow(d, -1, modulus) % modulus
+    reduced = unit % modulus
+    exact = terminating and reduced == unit
+    while reduced and reduced % p == 0:
+        reduced, v = reduced // p, v + 1
+    if not reduced:
+        return (None, 0, prec, False)
+    return (v, reduced, prec, exact)
+
+
+# Int pairs in any form: not in lowest terms, a negative denominator,
+# powers of 5 on either side.
+int_pairs = st.tuples(
+    st.builds(lambda a, k: a * 5**k, st.integers(-10**4, 10**4), st.integers(0, 40)),
+    st.builds(
+        lambda a, k: a * 5**k, st.integers(-10**3, 10**3).filter(bool), st.integers(0, 40)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_pairs, st.sampled_from((1, 2, 3, 8, 32)))
+def test_ratio_builds_the_state_of_the_fraction(pair, prec):
+    num, den = pair
+    value = Fraction(num, den)
+    exact = EX5.ratio(num, den)
+    assert exact._state() == EX5.scalar(value)._state() == (value.numerator, value.denominator)
+    ctx = FieldContext(P5, backend="digits", precision=prec)
+    digits = ctx.ratio(num, den)
+    assert digits._state() == ctx.scalar(value)._state()
+    assert digits._state() == _fraction_digit_state(value, 5, prec)
+    assert digits.context() is ctx and exact.context() is EX5
+
+
+def test_ratio_rejects_a_zero_denominator():
+    for ctx in (EX5, TD5):
+        with pytest.raises(ZeroDivisionError):
+            ctx.ratio(3, 0)
+
+
+@pytest.mark.parametrize("backend", ["exact", "digits"])
+def test_powers_of_p_match_the_fraction_power(backend):
+    ctx = FieldContext(P5, backend=backend, precision=8)
+    for k in (-3, 0, 1, 7, 8, 40):
+        power = ctx.pi_pow(k)
+        assert power._state() == ctx.scalar(Fraction(5) ** k)._state()
+        assert power.context() is ctx
+        assert power.valuation() == (k if backend == "exact" or k < 8 else 8)
+
+
+def test_exact_powers_of_p_are_computed_once_and_leave_no_cycle():
+    # The int p**k is kept on the context, not a scalar: a scalar holds
+    # its context, so caching one would keep every context alive until
+    # the garbage collector ran.
+    ctx = FieldContext(P5)
+    assert ctx.pi_pow(40).num is ctx.pi_pow(40).num is ctx.pi_pow(-40).den
+    assert ctx.pi_pow(40) is not ctx.pi_pow(40)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -191,6 +191,37 @@ def test_constant_function_degenerate_fit():
     assert fit.exponent == 1 and fit.constant_value(5) == 0
 
 
+@pytest.mark.parametrize("precision", [8, 32])
+def test_apparent_zero_differences_are_not_fitted(precision):
+    # On thm41 over the unit ball every difference the digits resolve is
+    # an exact zero, as on the exact backend; the rest vanish only to
+    # working precision.  Fitting those as measured gave r = 0 with
+    # C = 5**-precision; left out, the fit is the exact backend's.
+    ctx = FieldContext(Prime(5), backend="digits", precision=precision)
+    f = build_gallery("thm41", ctx, m=1)
+    fit = lipschitz_fit(f, ctx.unit_ball(2), j0=1, j1=8, seed=3)
+    exact = lipschitz_fit(build_gallery("thm41", CTX, m=1), CTX.unit_ball(2), j0=1, j1=8, seed=3)
+    assert exact.degenerate and exact.samples == 64
+    assert fit.degenerate and fit.exponent == 1 and fit.constant_value(5) == 0
+    assert 0 < fit.samples < 64
+
+
+def test_a_measured_entry_decides_a_difference_with_an_apparent_zero():
+    # (5 + O(5**8), O(5**8)): the first entry fixes the valuation at 1,
+    # whatever the second hides; (O(5**8), O(5**8)) decides nothing.
+    td8 = FieldContext(Prime(5), backend="digits", precision=8)
+    lost = td8.scalar(5**9)
+    assert lost.is_zero() and lost.valuation() == 8
+
+    def pair(first):
+        return lambda x: PadicVector([x[0] * first, lost])
+
+    fit = lipschitz_fit(pair(td8.one()), td8.unit_ball(1), j0=1, j1=3, samples=2, seed=1)
+    assert fit.samples == 6 and not fit.degenerate
+    fit = lipschitz_fit(pair(lost), td8.unit_ball(1), j0=1, j1=3, samples=2, seed=1)
+    assert fit.samples == 0 and fit.degenerate
+
+
 def test_fit_residuals_are_one_sided():
     from ultracalc.verify import random_poly
 

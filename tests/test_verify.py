@@ -1,9 +1,22 @@
 """Identity suites over the randomized corpus, both backends."""
 
+from fractions import Fraction
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultracalc.field import FieldContext, Prime
-from ultracalc.verify import ALL_CHECKS, CASE_DEFAULTS, run_checks, scaling_suite
+from ultracalc.verify import (
+    ALL_CHECKS,
+    CASE_DEFAULTS,
+    random_increment,
+    random_nonneg_unit_bounded,
+    random_unit_bounded,
+    run_checks,
+    scaling_suite,
+)
 
 EX = FieldContext(Prime(5))
 TD = FieldContext(Prime(5), backend="digits", precision=32)
@@ -100,3 +113,59 @@ def test_lost_samples_are_counted_per_point_at_precision_8(seed):
     scaling = reports["scaling"]
     assert scaling.samples == 300
     assert scaling.indeterminate > 0 and scaling.indeterminate % 3 == 0
+
+
+# The samplers as they were when every draw went through a Fraction:
+# the reference the int-pair samplers must reproduce draw for draw.
+def _old_unit_bounded_fraction(p, rng, allow_zero):
+    if allow_zero and rng.random() < 0.15:
+        return Fraction(0)
+    denoms = {2: (3, 5, 7), 3: (2, 4, 5), 5: (2, 3, 7), 7: (2, 3, 5)}.get(p, (2, 3))
+    num = rng.randrange(-9, 10) or 1
+    den = rng.choice((1,) * 3 + denoms)
+    extra = rng.randrange(0, 3)
+    return Fraction(num, den) * Fraction(p) ** extra
+
+
+def _old_random_unit(ctx, rng):
+    p = ctx.p
+    u = rng.randrange(1, p**3)
+    while u % p == 0:
+        u = rng.randrange(1, p**3)
+    return ctx.scalar(u)
+
+
+def _old_random_increment(ctx, rng, vmin, vmax):
+    v = rng.randrange(vmin, vmax + 1)
+    return _old_random_unit(ctx, rng) * ctx.scalar(Fraction(ctx.p) ** v)
+
+
+OLD_SAMPLERS = {
+    "increment": lambda ctx, rng: _old_random_increment(ctx, rng, 0, 3),
+    "unit_bounded": lambda ctx, rng: ctx.scalar(_old_unit_bounded_fraction(ctx.p, rng, True)),
+    "nonneg": lambda ctx, rng: ctx.scalar(abs(_old_unit_bounded_fraction(ctx.p, rng, True))),
+    "nonzero": lambda ctx, rng: ctx.scalar(_old_unit_bounded_fraction(ctx.p, rng, False)),
+}
+NEW_SAMPLERS = {
+    "increment": lambda ctx, rng: random_increment(ctx, rng, 0, 3),
+    "unit_bounded": random_unit_bounded,
+    "nonneg": random_nonneg_unit_bounded,
+    "nonzero": lambda ctx, rng: random_unit_bounded(ctx, rng, allow_zero=False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((2, 3, 5, 7, 11)),
+    st.sampled_from((("exact", 32), ("digits", 32), ("digits", 3), ("digits", 1))),
+    st.lists(st.sampled_from(sorted(NEW_SAMPLERS)), min_size=1, max_size=30),
+)
+def test_int_pair_samplers_draw_what_the_fraction_samplers_drew(seed, p, setting, calls):
+    backend, precision = setting
+    ctx = FieldContext(Prime(p), backend=backend, precision=precision)
+    old, new = Random(seed), Random(seed)
+    for name in calls:
+        want, got = OLD_SAMPLERS[name](ctx, old), NEW_SAMPLERS[name](ctx, new)
+        assert got._state() == want._state(), name
+        assert new.getstate() == old.getstate(), name
